@@ -131,7 +131,7 @@ fn main() {
 
     let sweeps = {
         let pre = solve_prepared_reference(ds, &inputs, &base, None);
-        let post = solve_prepared_with_layout(ds, &inputs, &layout, &base, None);
+        let post = solve_prepared_with_layout(ds, &layout, &base, None);
         assert!(pre == post, "fused solve diverged from the pre-PR kernel");
         let per_call = solve_prepared(ds, &inputs, &base, None);
         assert_eq!(pre, per_call, "per-call layout build changed the solve");
@@ -147,9 +147,7 @@ fn main() {
         let o = t.elapsed().as_secs_f64() * 1e6 / 10.0;
         let t = Instant::now();
         for _ in 0..10 {
-            std::hint::black_box(solve_prepared_with_layout(
-                ds, &inputs, &layout, &base, None,
-            ));
+            std::hint::black_box(solve_prepared_with_layout(ds, &layout, &base, None));
         }
         let n = t.elapsed().as_secs_f64() * 1e6 / 10.0;
         old_s.push(o);

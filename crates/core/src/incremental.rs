@@ -3,8 +3,10 @@
 //! The demo lets a user extend the loaded data (crawl more spaces, watch
 //! new comments arrive) and re-rank; recomputing everything per edit is
 //! wasteful because input preparation — novelty shingling above all — and
-//! link analysis dominate. [`IncrementalMass`] maintains the
-//! [`SolverInputs`] across edits and classifies every edit into a
+//! link analysis dominate. [`IncrementalMass`] maintains the solver inputs
+//! across edits — flat, in the form the solver's
+//! [`SweepLayout`] is derived from, with each item's decay weight cached
+//! at the current horizon — and classifies every edit into a
 //! [`DirtySet`] so a refresh does only the work the delta obliges:
 //!
 //! * **add post** — scores its quality with the *persistent* novelty
@@ -37,15 +39,17 @@ use crate::analysis::MassAnalysis;
 use crate::dirty::DirtySet;
 use crate::domain::{domain_influence, iv_vectors_prepared, train_on_tagged_prepared};
 use crate::gl::{gl_graph, gl_scores_csr};
+use crate::live::LiveInputs;
 use crate::params::{IvSource, MassParams};
 use crate::quality::{make_detector, raw_quality_of, raw_quality_scores_with_detector};
-use crate::solver::{solve_prepared, InfluenceScores, SolverInputs};
-use crate::temporal::{decay_inputs, TemporalError, TemporalParams};
+use crate::solver::{solve_prepared_with_layout, InfluenceScores, SweepLayout};
+use crate::temporal::{TemporalError, TemporalParams};
 use crate::topk::{top_k, top_k_in_domain};
 use mass_graph::LinkCsr;
 use mass_obs::field;
-use mass_text::{NaiveBayes, NoveltyDetector, PreparedCorpus, SentimentLexicon};
+use mass_text::{InterestMiner, NoveltyDetector, PreparedCorpus, SentimentLexicon};
 use mass_types::{Blogger, BloggerId, Comment, Dataset, DomainId, Post, PostId};
+use std::sync::Arc;
 
 /// How [`IncrementalMass::refresh_with`] trades latency against the
 /// exactness contract.
@@ -84,8 +88,8 @@ pub enum RefreshFault {
     AfterCsr,
     /// After link analysis produced the staged GL vector, before the solve.
     AfterGl,
-    /// Inside the solve stage, after the staged GL vector was swapped into
-    /// the solver inputs (exercises the swap rollback).
+    /// Inside the solve stage, after the sweep layout was derived from the
+    /// maintained stream and the staged GL vector, before the solve.
     DuringSolve,
     /// After everything was computed, immediately before the commit.
     BeforeCommit,
@@ -153,15 +157,19 @@ impl AdvanceStats {
 pub struct IncrementalMass {
     dataset: Dataset,
     params: MassParams,
-    inputs: SolverInputs,
+    /// The solver inputs, flat, with the decay weights at the current
+    /// horizon; updated by each edit, only read by a refresh.
+    live: LiveInputs,
     detector: Option<NoveltyDetector>,
     lexicon: SentimentLexicon,
-    classifier: Option<NaiveBayes>,
+    /// The frozen Post Analyzer model, shared with every snapshot.
+    miner: Option<Arc<InterestMiner>>,
     iv: Vec<Vec<f64>>,
     scores: InfluenceScores,
-    domain_matrix: Vec<Vec<f64>>,
-    /// Comments each blogger has made, maintained so `TC` updates are O(1).
-    comment_counts: Vec<u32>,
+    /// Shared with the snapshots captured at this epoch.
+    domain_matrix: Arc<Vec<Vec<f64>>>,
+    /// Blogger display names, shared with the snapshots.
+    blogger_names: Arc<Vec<String>>,
     /// The provider's link graph, maintained across edits — equals a
     /// from-scratch rebuild at every refresh (the CSR differential tests
     /// own that invariant).
@@ -185,7 +193,6 @@ impl IncrementalMass {
     /// Builds the initial analysis (a full cold solve) — epoch 0.
     pub fn new(dataset: Dataset, params: MassParams) -> Self {
         params.validate();
-        let ix = dataset.index();
         // The initial corpus is tokenized exactly once; later edits score
         // their own text through the string paths (one post at a time).
         let corpus = PreparedCorpus::build(&dataset, params.threads);
@@ -194,21 +201,15 @@ impl IncrementalMass {
         let mut detector = make_detector(&params);
         let link = LinkCsr::from_digraph(&gl_graph(&dataset, &params));
         let gl = gl_scores_csr(&link, &params, None);
-        let inputs = SolverInputs {
-            raw_quality: raw_quality_scores_with_detector(
-                &dataset,
-                &corpus,
-                &params,
-                detector.as_mut(),
-            ),
-            gl: gl.gl,
-            factors: crate::solver::resolve_comment_factors_prepared(&dataset, &corpus),
-            tc: crate::solver::compute_tc(&dataset, &ix, &params),
-        };
-        let scores = {
-            let decayed = decay_inputs(&dataset, &inputs, &params);
-            solve_prepared(&dataset, &decayed, &params, None)
-        };
+        let live = LiveInputs::new(
+            &dataset,
+            raw_quality_scores_with_detector(&dataset, &corpus, &params, detector.as_mut()),
+            gl.gl,
+            crate::solver::resolve_comment_factors_prepared(&dataset, &corpus),
+            &params,
+        );
+        let scores =
+            solve_prepared_with_layout(&dataset, &live.layout(&live.gl, &params), &params, None);
         let (iv, trained) = iv_vectors_prepared(&dataset, &params, &corpus);
         let classifier = match &params.iv {
             IvSource::Classifier(m) => Some(m.clone()),
@@ -218,20 +219,18 @@ impl IncrementalMass {
             }
         };
         let domain_matrix = domain_influence(&dataset, &scores.post, &iv);
-        let comment_counts: Vec<u32> = (0..dataset.bloggers.len())
-            .map(|i| ix.total_comments_made(BloggerId::new(i)))
-            .collect();
+        let blogger_names = dataset.bloggers.iter().map(|b| b.name.clone()).collect();
         IncrementalMass {
             dataset,
             params,
-            inputs,
+            live,
             detector,
             lexicon: SentimentLexicon::default(),
-            classifier,
+            miner: classifier.map(|c| Arc::new(InterestMiner::new(c))),
             iv,
             scores,
-            domain_matrix,
-            comment_counts,
+            domain_matrix: Arc::new(domain_matrix),
+            blogger_names: Arc::new(blogger_names),
             link,
             gl_warm: gl.warm,
             gl_exact: true,
@@ -292,9 +291,30 @@ impl IncrementalMass {
 
     /// An interest miner over the live Post Analyzer model, for matching
     /// advertisement text against the domain matrix (None when no
-    /// classifier is available, e.g. an untagged corpus).
-    pub fn interest_miner(&self) -> Option<mass_text::InterestMiner> {
-        self.classifier.clone().map(mass_text::InterestMiner::new)
+    /// classifier is available, e.g. an untagged corpus). The model is
+    /// frozen for the engine's lifetime, so every caller (each snapshot)
+    /// shares the one miner.
+    pub fn interest_miner(&self) -> Option<Arc<InterestMiner>> {
+        self.miner.clone()
+    }
+
+    /// The domain matrix of the last refresh, shared rather than copied.
+    pub(crate) fn shared_domain_matrix(&self) -> Arc<Vec<Vec<f64>>> {
+        Arc::clone(&self.domain_matrix)
+    }
+
+    /// Blogger display names (pending additions included), shared rather
+    /// than copied.
+    pub(crate) fn shared_blogger_names(&self) -> Arc<Vec<String>> {
+        Arc::clone(&self.blogger_names)
+    }
+
+    /// The sweep layout the next refresh solves on, derived from the
+    /// maintained stream and cached weights (after a refresh: the layout
+    /// it solved on). Exposed so the differential tests can pin it to
+    /// `SweepLayout::build` over batch-built, decayed inputs.
+    pub fn sweep_layout(&self) -> SweepLayout {
+        self.live.layout(&self.live.gl, &self.params)
     }
 
     /// The current state as a [`MassAnalysis`] snapshot (same fields a
@@ -303,20 +323,20 @@ impl IncrementalMass {
         MassAnalysis {
             scores: self.scores.clone(),
             iv: self.iv.clone(),
-            domain_matrix: self.domain_matrix.clone(),
-            classifier: self.classifier.clone(),
+            domain_matrix: self.domain_matrix.to_vec(),
+            classifier: self.miner.as_ref().map(|m| m.classifier().clone()),
             params: self.params.clone(),
         }
     }
 
     /// Consumes the analyzer into its dataset and a final analysis
-    /// snapshot, without cloning either.
+    /// snapshot, cloning only what a live snapshot still shares.
     pub fn into_parts(self) -> (Dataset, MassAnalysis) {
         let analysis = MassAnalysis {
             scores: self.scores,
             iv: self.iv,
-            domain_matrix: self.domain_matrix,
-            classifier: self.classifier,
+            domain_matrix: Arc::unwrap_or_clone(self.domain_matrix),
+            classifier: self.miner.map(|m| m.classifier().clone()),
             params: self.params,
         };
         (self.dataset, analysis)
@@ -337,12 +357,11 @@ impl IncrementalMass {
                 .friend_edges
                 .push((id.index() as u32, f.index() as u32));
         }
+        Arc::make_mut(&mut self.blogger_names).push(blogger.name.clone());
         self.dataset.bloggers.push(blogger);
-        // Placeholder until the provider reruns; exact for the providers
+        // GL placeholder until the provider reruns; exact for the providers
         // that are never dirtied by a lone blogger add (DirtySet docs).
-        self.inputs.gl.push(0.0);
-        self.inputs.tc.push(1.0); // TC floor; bumped as comments arrive
-        self.comment_counts.push(0);
+        self.live.push_blogger();
         self.pending_edits += 1;
         id
     }
@@ -391,21 +410,13 @@ impl IncrementalMass {
             assert!(c.commenter != post.author, "self-comment");
         }
         let id = PostId::new(self.dataset.posts.len());
-        self.inputs
-            .raw_quality
-            .push(raw_quality_of(&post, &self.params, self.detector.as_mut()));
-        self.inputs.factors.push(
-            post.comments
-                .iter()
-                .map(|c| (c.commenter.index(), self.factor_of(c)))
-                .collect(),
-        );
-        if self.params.tc_normalisation {
-            for c in &post.comments {
-                self.bump_tc(c.commenter);
-            }
-        }
+        let quality = raw_quality_of(&post, &self.params, self.detector.as_mut());
+        self.live
+            .push_post(post.author.index(), post.ts, quality, &self.params);
         for c in &post.comments {
+            let sf = self.factor_of(c);
+            self.live
+                .push_comment(id.index(), c.commenter.index(), sf, c.ts, &self.params);
             self.dirty
                 .comment_edges
                 .push((c.commenter.index() as u32, post.author.index() as u32));
@@ -430,10 +441,13 @@ impl IncrementalMass {
         let author = self.dataset.posts[post.index()].author;
         assert!(comment.commenter != author, "self-comment");
         let factor = self.factor_of(&comment);
-        self.inputs.factors[post.index()].push((comment.commenter.index(), factor));
-        if self.params.tc_normalisation {
-            self.bump_tc(comment.commenter);
-        }
+        self.live.push_comment(
+            post.index(),
+            comment.commenter.index(),
+            factor,
+            comment.ts,
+            &self.params,
+        );
         self.dirty
             .comment_edges
             .push((comment.commenter.index() as u32, author.index() as u32));
@@ -448,11 +462,14 @@ impl IncrementalMass {
     }
 
     /// Advances the analysis horizon ("now") to `to` — the window-advance
-    /// *edit storm* of DESIGN.md §15. Every post and comment whose decay
-    /// weight changes bits across the move is counted into the
-    /// [`DirtySet`] as time dirt; the next [`refresh`](Self::refresh)
-    /// re-solves over the re-decayed inputs, skipping link analysis
-    /// entirely (an advance touches no graph node or edge). When *no*
+    /// *edit storm* of DESIGN.md §15. Each item's decay weight is evaluated
+    /// once at `to` and compared by bits with the weight cached for the
+    /// old horizon; every post and comment whose weight changes bits (or
+    /// comment that becomes visible) is counted into the [`DirtySet`] as
+    /// time dirt, and the cache moves to `to`. The next
+    /// [`refresh`](Self::refresh) re-solves over the re-decayed inputs,
+    /// skipping link analysis entirely (an advance touches no graph node
+    /// or edge). When *no*
     /// weight changes — e.g. a hard window that slides over empty ticks —
     /// the dirty set stays clean and the next refresh is a strict no-op.
     ///
@@ -468,28 +485,11 @@ impl IncrementalMass {
         if to < from {
             return Err(TemporalError::RetrogradeAdvance { from, to });
         }
-        let decay = temporal.decay;
-        let mut posts_affected = 0usize;
-        let mut comments_affected = 0usize;
-        for post in &self.dataset.posts {
-            if decay.weight(post.ts, from).to_bits() != decay.weight(post.ts, to).to_bits() {
-                posts_affected += 1;
-            }
-            let born_from = post.ts <= from;
-            let born_to = post.ts <= to;
-            for c in &post.comments {
-                let w_from = if born_from {
-                    decay.weight(c.ts, from)
-                } else {
-                    0.0
-                };
-                let w_to = if born_to { decay.weight(c.ts, to) } else { 0.0 };
-                if w_from.to_bits() != w_to.to_bits() {
-                    comments_affected += 1;
-                }
-            }
-        }
-        self.params.temporal = Some(TemporalParams { as_of: to, decay });
+        let (posts_affected, comments_affected) = self.live.advance(temporal, to);
+        self.params.temporal = Some(TemporalParams {
+            as_of: to,
+            decay: temporal.decay,
+        });
         let stats = AdvanceStats {
             from,
             to,
@@ -586,39 +586,31 @@ impl IncrementalMass {
             RefreshMode::Exact => None,
             RefreshMode::WarmStart => Some(self.scores.blogger.clone()),
         };
-        // The solver reads `inputs.gl`, so the staged vector must be
-        // swapped in before the solve; the catch_unwind below restores the
-        // previous vector if the solve (or an injected fault) panics,
-        // keeping the swap transactional too.
-        let saved_gl = staged_gl_vec.map(|gl| std::mem::replace(&mut self.inputs.gl, gl));
-        let solved = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.detonate(RefreshFault::DuringSolve);
-            // The temporal transform runs here, inside the transaction, so
-            // batch and incremental feed the solver through the same code
-            // over bitwise-equal undecayed inputs (DESIGN.md §15).
-            let decayed = decay_inputs(&self.dataset, &self.inputs, &self.params);
-            let scores = solve_prepared(
-                &self.dataset,
-                &decayed,
-                &self.params,
-                warm_scores.as_deref(),
-            );
-            let domain_matrix = domain_influence(&self.dataset, &scores.post, &self.iv);
-            self.detonate(RefreshFault::BeforeCommit);
-            (scores, domain_matrix)
-        }));
-        let (scores, domain_matrix) = match solved {
-            Ok(v) => v,
-            Err(payload) => {
-                if let Some(old) = saved_gl {
-                    self.inputs.gl = old;
-                }
-                std::panic::resume_unwind(payload);
-            }
-        };
+        // The layout is derived from the maintained stream, the cached
+        // decay weights and the staged GL vector: nothing in `self` moves
+        // until the commit, so a panic needs no rollback. Its per-element
+        // products are the ones `decay_inputs` computes, so batch and
+        // incremental solve bitwise-equal layouts (DESIGN.md §11, §15).
+        let layout = self.live.layout(
+            staged_gl_vec.as_deref().unwrap_or(&self.live.gl),
+            &self.params,
+        );
+        self.detonate(RefreshFault::DuringSolve);
+        let scores = solve_prepared_with_layout(
+            &self.dataset,
+            &layout,
+            &self.params,
+            warm_scores.as_deref(),
+        );
+        drop(layout);
+        let domain_matrix = domain_influence(&self.dataset, &scores.post, &self.iv);
+        self.detonate(RefreshFault::BeforeCommit);
 
         // Commit — infallible from here on.
         self.epoch += 1;
+        if let Some(gl) = staged_gl_vec {
+            self.live.gl = gl;
+        }
         if let Some(link) = staged_link {
             self.link = link;
         }
@@ -632,7 +624,7 @@ impl IncrementalMass {
             mass_obs::counter("incremental.gl_skips").inc();
         }
         self.scores = scores;
-        self.domain_matrix = domain_matrix;
+        self.domain_matrix = Arc::new(domain_matrix);
         let applied = self.pending_edits;
         self.pending_edits = 0;
         self.dirty.clear();
@@ -669,22 +661,15 @@ impl IncrementalMass {
         }
     }
 
-    fn bump_tc(&mut self, commenter: BloggerId) {
-        let i = commenter.index();
-        self.comment_counts[i] += 1;
-        // TC floors at 1: a blogger's first comment keeps the divisor at 1.
-        self.inputs.tc[i] = f64::from(self.comment_counts[i]).max(1.0);
-    }
-
     fn classify_post(&self, post: &Post) -> Vec<f64> {
         let nd = self.dataset.domains.len();
-        match (&self.params.iv, &self.classifier, post.true_domain) {
+        match (&self.params.iv, &self.miner, post.true_domain) {
             (IvSource::TrueDomains, _, Some(d)) => {
                 let mut v = vec![0.0; nd];
                 v[d.index()] = 1.0;
                 v
             }
-            (_, Some(model), _) => model.posterior(&format!("{} {}", post.title, post.text)),
+            (_, Some(miner), _) => miner.interest_vector(&format!("{} {}", post.title, post.text)),
             _ => {
                 if nd == 0 {
                     Vec::new()
@@ -1060,9 +1045,9 @@ mod tests {
             BloggerId::new((a.index() + 1) % ds.bloggers.len())
         };
         let mut inc = IncrementalMass::new(ds, params);
-        let before = inc.inputs.raw_quality[0];
+        let before = inc.live.raw_quality[0];
         let pid = inc.add_post(Post::new(author, "copy", original_text));
-        let copy_quality = inc.inputs.raw_quality[pid.index()];
+        let copy_quality = inc.live.raw_quality[pid.index()];
         assert!(
             copy_quality < before * 0.2,
             "verbatim repost not penalised: {copy_quality} vs original {before}"
@@ -1179,6 +1164,42 @@ mod tests {
         assert_eq!(inc.epoch(), epoch);
         assert_eq!(bits(&inc.scores().blogger), bits(&before.blogger));
         assert_eq!(inc.as_of(), Some(500));
+    }
+
+    #[test]
+    fn a_comment_that_appears_already_expired_still_counts_as_time_dirt() {
+        use crate::temporal::{DecayParams, TemporalParams};
+        // Everything stamped 0 except one comment stamped 3; at horizon 1
+        // that comment is invisible. A jump to 20 under a 5-tick window
+        // expires every item (1.0 → 0.0) and shows the late comment with
+        // weight 0.0 → 0.0: its weight keeps its bits, but it now counts
+        // toward its commenter's TC, so it is time dirt too.
+        let (mut ds, params) = base();
+        for post in &mut ds.posts {
+            post.ts = 0;
+            for c in &mut post.comments {
+                c.ts = 0;
+            }
+        }
+        let total: usize = ds.posts.iter().map(|p| p.comments.len()).sum();
+        let late = ds
+            .posts
+            .iter()
+            .position(|p| !p.comments.is_empty())
+            .unwrap();
+        ds.posts[late].comments[0].ts = 3;
+        let decay = DecayParams::Window { horizon: 5 };
+        let at = |as_of| MassParams {
+            temporal: Some(TemporalParams { as_of, decay }),
+            ..params.clone()
+        };
+        let mut inc = IncrementalMass::new(ds.clone(), at(1));
+        let stats = inc.advance_to(20).unwrap();
+        assert_eq!(stats.posts_affected, ds.posts.len());
+        assert_eq!(stats.comments_affected, total);
+        inc.refresh();
+        let batch = MassAnalysis::analyze(&ds, &at(20));
+        assert_eq!(bits(&inc.scores().blogger), bits(&batch.scores.blogger));
     }
 
     #[test]

@@ -58,6 +58,7 @@ pub mod domain;
 pub mod expert_search;
 pub mod gl;
 pub mod incremental;
+mod live;
 pub mod params;
 pub mod quality;
 pub mod recommend;

@@ -8,13 +8,17 @@
 //! per-domain top-k lists (capped at `cap`, the serving layer's `k`
 //! ceiling) and the blogger × domain influence matrix — so `GET /topk` is
 //! a slice copy and `POST /match` is one interest-vector classification
-//! plus a dot product per blogger.
+//! plus a dot product per blogger. What an epoch leaves unchanged — the
+//! blogger names, the frozen interest miner, the domain matrix the refresh
+//! built — is shared with the engine through `Arc`s, not copied per
+//! capture.
 
 use crate::incremental::IncrementalMass;
 use crate::topk::{top_k, top_k_in_domain};
 use mass_text::interest::dot;
 use mass_text::InterestMiner;
 use mass_types::{BloggerId, DomainId};
+use std::sync::Arc;
 
 /// A read-only, epoch-stamped view of one refresh of the engine.
 #[derive(Clone, Debug)]
@@ -24,15 +28,15 @@ pub struct ServingSnapshot {
     /// engine runs without temporal params).
     as_of: Option<u64>,
     cap: usize,
-    blogger_names: Vec<String>,
+    blogger_names: Arc<Vec<String>>,
     domain_names: Vec<String>,
     /// General top-`cap` ranking, best first.
     general: Vec<(BloggerId, f64)>,
     /// Per-domain top-`cap` rankings, indexed by domain id.
     per_domain: Vec<Vec<(BloggerId, f64)>>,
     /// Blogger × domain influence (ad matching scans this).
-    domain_matrix: Vec<Vec<f64>>,
-    miner: Option<InterestMiner>,
+    domain_matrix: Arc<Vec<Vec<f64>>>,
+    miner: Option<Arc<InterestMiner>>,
 }
 
 impl ServingSnapshot {
@@ -42,7 +46,7 @@ impl ServingSnapshot {
     pub fn capture(engine: &IncrementalMass, cap: usize) -> ServingSnapshot {
         let cap = cap.max(1);
         let ds = engine.dataset();
-        let domain_matrix: Vec<Vec<f64>> = engine.domain_matrix().to_vec();
+        let domain_matrix = engine.shared_domain_matrix();
         let per_domain = (0..ds.domains.len())
             .map(|d| top_k_in_domain(&domain_matrix, d, cap))
             .collect();
@@ -50,7 +54,7 @@ impl ServingSnapshot {
             epoch: engine.epoch(),
             as_of: engine.as_of(),
             cap,
-            blogger_names: ds.bloggers.iter().map(|b| b.name.clone()).collect(),
+            blogger_names: engine.shared_blogger_names(),
             domain_names: ds.domains.names().to_vec(),
             general: engine.top_k_general(cap),
             per_domain,

@@ -25,12 +25,12 @@ use mass_text::{PreparedCorpus, SentimentLexicon};
 use mass_types::{BloggerId, Dataset, DatasetIndex, PostId};
 use std::borrow::Cow;
 
-/// Precomputed, incrementally-maintainable solver inputs.
+/// Precomputed solver inputs.
 ///
-/// [`solve`] builds these from scratch; the incremental analyzer
-/// ([`crate::incremental`]) keeps them up to date across small dataset
-/// edits and re-solves warm, which skips the expensive input preparation
-/// (novelty shingling dominates) and most sweeps.
+/// [`solve`] builds these from scratch. The incremental analyzer
+/// ([`crate::incremental`]) keeps the same inputs in flat form across
+/// small dataset edits, which skips the expensive input preparation
+/// (novelty shingling dominates).
 #[derive(Clone, Debug, PartialEq)]
 pub struct SolverInputs {
     /// Unnormalised quality per post (length term × novelty).
@@ -310,10 +310,11 @@ const MAX_DISTINCT_SF: usize = 8;
 /// divides) instead of dividing once per comment.
 ///
 /// [`solve_prepared`] builds this per call; callers that re-solve the same
-/// inputs repeatedly (serving refresh loops, benchmarks) build it once and
-/// use [`solve_prepared_with_layout`]. The layout snapshots
-/// `inputs.factors` and the dataset's post→author map — rebuild it after
-/// mutating either, or the solve will read stale structure.
+/// inputs repeatedly (benchmarks) build it once, and the incremental engine
+/// derives it from its maintained flat stream; both then use
+/// [`solve_prepared_with_layout`]. The layout snapshots every input the
+/// sweeps read — rebuild it after any edit, or the solve will read stale
+/// structure.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SweepLayout {
     /// CSR offsets into the comment stream, one row per post.
@@ -357,6 +358,25 @@ pub struct SweepLayout {
     np: usize,
 }
 
+/// The flat, post-major solver inputs a [`SweepLayout`] is assembled from:
+/// one entry per comment, grouped by post in dataset order (comments of a
+/// post in their dataset order), plus the per-post and per-blogger scalar
+/// vectors. Nothing is sanitised yet.
+pub(crate) struct FlatInputs {
+    /// CSR offsets into the comment stream, one row per post.
+    pub f_off: Vec<u32>,
+    /// Destination post id of each comment.
+    pub f_post: Vec<u32>,
+    /// Commenter index of each comment.
+    pub commenter: Vec<u32>,
+    /// Sentiment factor of each comment (decayed, when the analysis is).
+    pub sf: Vec<f64>,
+    /// Unnormalised quality per post (decayed, when the analysis is).
+    pub raw_quality: Vec<f64>,
+    /// `TC(b)` per blogger.
+    pub tc: Vec<f64>,
+}
+
 impl SweepLayout {
     /// Builds the layout for one `(dataset, inputs)` pair.
     ///
@@ -370,125 +390,159 @@ impl SweepLayout {
         let np = ds.posts.len();
         assert_eq!(inputs.factors.len(), np, "factors input mismatch");
         assert_eq!(inputs.raw_quality.len(), np, "quality input mismatch");
-        assert_eq!(inputs.gl.len(), nb, "gl input mismatch");
-        assert_eq!(inputs.tc.len(), nb, "tc input mismatch");
         let total: usize = inputs.factors.iter().map(Vec::len).sum();
         assert!(
             np < u32::MAX as usize && total < u32::MAX as usize && nb < u32::MAX as usize,
             "flat CSR offsets are u32"
         );
-        let mut sanitised = false;
         let mut f_off: Vec<u32> = Vec::with_capacity(np + 1);
         f_off.push(0);
-        // Coded attempt: `f_slot` temporarily holds the commenter index and
-        // `f_code` the factor code; the slot multiply happens once the
-        // distinct-value count is final.
-        let mut f_slot: Vec<u32> = Vec::with_capacity(total);
         let mut f_post: Vec<u32> = Vec::with_capacity(total);
-        let mut f_code: Vec<u8> = Vec::with_capacity(total);
+        let mut commenter: Vec<u32> = Vec::with_capacity(total);
+        let mut sf: Vec<f64> = Vec::with_capacity(total);
+        for (k, per_post) in inputs.factors.iter().enumerate() {
+            for &(j, s) in per_post {
+                assert!(j < nb, "factor commenter index out of range");
+                f_post.push(k as u32);
+                commenter.push(j as u32);
+                sf.push(s);
+            }
+            f_off.push(commenter.len() as u32);
+        }
+        let author: Vec<u32> = ds.posts.iter().map(|p| p.author.index() as u32).collect();
+        SweepLayout::assemble(
+            nb,
+            &author,
+            &inputs.gl,
+            FlatInputs {
+                f_off,
+                f_post,
+                commenter,
+                sf,
+                raw_quality: inputs.raw_quality.clone(),
+                tc: inputs.tc.clone(),
+            },
+        )
+    }
+
+    /// Assembles the layout from flat post-major inputs, the author of
+    /// each post and the GL facet: sanitises every value, tabulates the
+    /// comment stream when its distinct factors fit [`MAX_DISTINCT_SF`]
+    /// (codes in first-occurrence order), groups posts by author, and
+    /// max-normalises quality. [`SweepLayout::build`] and the incremental
+    /// engine's maintained stream both end here, so equal flat inputs give
+    /// equal layouts.
+    ///
+    /// # Panics
+    /// Panics on mismatched lengths, a commenter or author outside the
+    /// blogger range, or a corpus beyond the `u32` index space.
+    pub(crate) fn assemble(nb: usize, author: &[u32], gl: &[f64], flat: FlatInputs) -> SweepLayout {
+        let FlatInputs {
+            f_off,
+            f_post,
+            commenter,
+            mut sf,
+            raw_quality,
+            tc,
+        } = flat;
+        let np = author.len();
+        let total = commenter.len();
+        assert!(
+            np < u32::MAX as usize && total < u32::MAX as usize && nb < u32::MAX as usize,
+            "flat CSR offsets are u32"
+        );
+        assert_eq!(f_off.len(), np + 1, "comment offsets mismatch");
+        assert_eq!(f_off[np] as usize, total, "comment offsets mismatch");
+        assert_eq!(f_post.len(), total, "comment stream mismatch");
+        assert_eq!(sf.len(), total, "comment stream mismatch");
+        assert_eq!(raw_quality.len(), np, "quality input mismatch");
+        assert_eq!(gl.len(), nb, "gl input mismatch");
+        assert_eq!(tc.len(), nb, "tc input mismatch");
+        // The sweeps index `inf`, `tc` and the term table by these without
+        // bounds checks.
+        assert!(
+            commenter.iter().all(|&j| (j as usize) < nb),
+            "factor commenter index out of range"
+        );
+        assert!(
+            author.iter().all(|&a| (a as usize) < nb),
+            "post author out of range"
+        );
+        let mut sanitised = false;
+        for s in sf.iter_mut() {
+            if !s.is_finite() {
+                sanitised = true;
+                *s = 0.0;
+            }
+        }
+        // Tabulated attempt: code each factor by its bit pattern (so 0.0
+        // and -0.0 stay distinct), in first-occurrence order.
         let mut sf_values: Vec<f64> = Vec::new();
         let mut sf_bits = [0u64; MAX_DISTINCT_SF];
+        let mut codes: Vec<u8> = Vec::with_capacity(total);
         let mut tabulated = true;
-        'flatten: for (k, per_post) in inputs.factors.iter().enumerate() {
-            for &(j, sf) in per_post {
-                assert!(j < nb, "factor commenter index out of range");
-                let sf = if sf.is_finite() {
-                    sf
-                } else {
-                    sanitised = true;
-                    0.0
-                };
-                let bits = sf.to_bits();
-                let code = match (0..sf_values.len()).find(|&s| sf_bits[s] == bits) {
-                    Some(s) => s,
-                    None if sf_values.len() < MAX_DISTINCT_SF => {
-                        sf_bits[sf_values.len()] = bits;
-                        sf_values.push(sf);
-                        sf_values.len() - 1
-                    }
-                    None => {
-                        tabulated = false;
-                        break 'flatten;
-                    }
-                };
-                f_slot.push(j as u32);
-                f_post.push(k as u32);
-                f_code.push(code as u8);
-            }
-            f_off.push(f_slot.len() as u32);
-        }
-        let mut f_commenter: Vec<u32> = Vec::new();
-        let mut f_sf: Vec<f64> = Vec::new();
-        if tabulated {
-            let s = sf_values.len() as u32;
-            for (slot, &code) in f_slot.iter_mut().zip(&f_code) {
-                *slot = *slot * s + u32::from(code);
-            }
-        } else {
-            // Exotic factor set: restart as the direct per-comment stream.
-            // `sanitised` stays monotone — the rescan revisits every factor.
-            f_off.clear();
-            f_off.push(0);
-            f_slot = Vec::new();
-            f_post.clear();
-            sf_values.clear();
-            f_commenter = Vec::with_capacity(total);
-            f_sf = Vec::with_capacity(total);
-            for (k, per_post) in inputs.factors.iter().enumerate() {
-                for &(j, sf) in per_post {
-                    assert!(j < nb, "factor commenter index out of range");
-                    let sf = if sf.is_finite() {
-                        sf
-                    } else {
-                        sanitised = true;
-                        0.0
-                    };
-                    f_commenter.push(j as u32);
-                    f_post.push(k as u32);
-                    f_sf.push(sf);
+        for &s in &sf {
+            let bits = s.to_bits();
+            let code = match (0..sf_values.len()).find(|&c| sf_bits[c] == bits) {
+                Some(c) => c,
+                None if sf_values.len() < MAX_DISTINCT_SF => {
+                    sf_bits[sf_values.len()] = bits;
+                    sf_values.push(s);
+                    sf_values.len() - 1
                 }
-                f_off.push(f_commenter.len() as u32);
-            }
+                None => {
+                    tabulated = false;
+                    break;
+                }
+            };
+            codes.push(code as u8);
         }
+        let (f_slot, f_commenter, f_sf) = if tabulated {
+            let s = sf_values.len() as u32;
+            let slots = commenter
+                .iter()
+                .zip(&codes)
+                .map(|(&j, &code)| j * s + u32::from(code))
+                .collect();
+            (slots, Vec::new(), Vec::new())
+        } else {
+            // Exotic factor set: the direct per-comment stream.
+            sf_values.clear();
+            (Vec::new(), commenter, sf)
+        };
         // Author CSR by counting sort; filling in post order keeps each
         // author's segment ascending in post id.
         let mut a_off = vec![0u32; nb + 1];
-        for post in &ds.posts {
-            a_off[post.author.index() + 1] += 1;
+        for &a in author {
+            a_off[a as usize + 1] += 1;
         }
         for i in 0..nb {
             a_off[i + 1] += a_off[i];
         }
         let mut cursor: Vec<u32> = a_off[..nb].to_vec();
         let mut a_post = vec![0u32; np];
-        for (k, post) in ds.posts.iter().enumerate() {
-            let c = &mut cursor[post.author.index()];
+        for (k, &a) in author.iter().enumerate() {
+            let c = &mut cursor[a as usize];
             a_post[*c as usize] = k as u32;
             *c += 1;
         }
         // Snapshot the sanitised scalar inputs — byte for byte what the
-        // per-call prologue computes, so a layout-carrying solve can skip
+        // reference kernel's prologue computes, so the fused solve skips
         // those passes entirely.
-        let raw_quality: Vec<f64> = inputs
-            .raw_quality
-            .iter()
-            .map(|&q| {
-                if q.is_finite() && q >= 0.0 {
-                    q
-                } else {
-                    sanitised = true;
-                    0.0
-                }
-            })
-            .collect();
-        let qmax = raw_quality.iter().cloned().fold(0.0f64, f64::max);
-        let quality: Vec<f64> = if qmax > 0.0 {
-            raw_quality.iter().map(|q| q / qmax).collect()
-        } else {
-            raw_quality
-        };
-        let gl: Vec<f64> = inputs
-            .gl
+        let mut quality = raw_quality;
+        for q in quality.iter_mut() {
+            if !(q.is_finite() && *q >= 0.0) {
+                sanitised = true;
+                *q = 0.0;
+            }
+        }
+        let qmax = quality.iter().cloned().fold(0.0f64, f64::max);
+        if qmax > 0.0 {
+            for q in quality.iter_mut() {
+                *q /= qmax;
+            }
+        }
+        let gl: Vec<f64> = gl
             .iter()
             .map(|&g| {
                 if g.is_finite() {
@@ -499,18 +553,13 @@ impl SweepLayout {
                 }
             })
             .collect();
-        let tc: Vec<f64> = inputs
-            .tc
-            .iter()
-            .map(|&t| {
-                if t.is_finite() && t > 0.0 {
-                    t
-                } else {
-                    sanitised = true;
-                    1.0
-                }
-            })
-            .collect();
+        let mut tc = tc;
+        for t in tc.iter_mut() {
+            if !(t.is_finite() && *t > 0.0) {
+                sanitised = true;
+                *t = 1.0;
+            }
+        }
         SweepLayout {
             f_off,
             f_post,
@@ -531,15 +580,15 @@ impl SweepLayout {
     }
 }
 
-/// Which sweep kernel [`solve_prepared_impl`] runs. Both produce the same
-/// [`InfluenceScores`] bit for bit; they differ only in data layout and
-/// pass structure (DESIGN.md §14).
-#[derive(Clone, Copy, PartialEq)]
-enum SweepKernel {
+/// Which sweep kernel [`solve_prepared_impl`] runs, with its input. Both
+/// produce the same [`InfluenceScores`] bit for bit; they differ only in
+/// data layout and pass structure (DESIGN.md §14).
+#[derive(Clone, Copy)]
+enum SweepKernel<'a> {
     /// Flat CSR layouts, three fused passes per sweep.
-    Fused,
+    Fused(&'a SweepLayout),
     /// The pre-§14 kernel: nested `Vec` layouts, nine passes per sweep.
-    Reference,
+    Reference(&'a SolverInputs),
 }
 
 /// Runs the solver over prebuilt inputs, optionally warm-starting from a
@@ -555,19 +604,20 @@ pub fn solve_prepared(
     params: &MassParams,
     warm_start: Option<&[f64]>,
 ) -> InfluenceScores {
-    solve_prepared_impl(ds, inputs, params, warm_start, SweepKernel::Fused, None)
+    let layout = SweepLayout::build(ds, inputs);
+    solve_prepared_impl(ds, params, warm_start, SweepKernel::Fused(&layout))
 }
 
-/// [`solve_prepared`] with a caller-prebuilt [`SweepLayout`], skipping the
-/// per-call layout build. Bit-identical to [`solve_prepared`] as long as
-/// the layout was built from these exact `(ds, inputs)` — the layout
-/// snapshots the factor and author structure, so rebuild it after any edit.
+/// [`solve_prepared`] over a prebuilt [`SweepLayout`], skipping the layout
+/// build. Bit-identical to [`solve_prepared`] on the inputs the layout was
+/// built from — the layout carries every input the sweeps read, so rebuild
+/// it after any edit.
 ///
 /// # Panics
-/// Panics if the layout's dimensions do not match the dataset.
+/// Panics if `params` fail validation or the layout's dimensions do not
+/// match the dataset.
 pub fn solve_prepared_with_layout(
     ds: &Dataset,
-    inputs: &SolverInputs,
     layout: &SweepLayout,
     params: &MassParams,
     warm_start: Option<&[f64]>,
@@ -578,14 +628,7 @@ pub fn solve_prepared_with_layout(
         ds.bloggers.len(),
         "layout blogger count mismatch"
     );
-    solve_prepared_impl(
-        ds,
-        inputs,
-        params,
-        warm_start,
-        SweepKernel::Fused,
-        Some(layout),
-    )
+    solve_prepared_impl(ds, params, warm_start, SweepKernel::Fused(layout))
 }
 
 /// [`solve_prepared`] on the pre-§14 sweep kernel: the comment factors stay
@@ -600,16 +643,19 @@ pub fn solve_prepared_reference(
     params: &MassParams,
     warm_start: Option<&[f64]>,
 ) -> InfluenceScores {
-    solve_prepared_impl(ds, inputs, params, warm_start, SweepKernel::Reference, None)
+    let (nb, np) = (ds.bloggers.len(), ds.posts.len());
+    assert_eq!(inputs.raw_quality.len(), np, "quality input mismatch");
+    assert_eq!(inputs.gl.len(), nb, "gl input mismatch");
+    assert_eq!(inputs.factors.len(), np, "factors input mismatch");
+    assert_eq!(inputs.tc.len(), nb, "tc input mismatch");
+    solve_prepared_impl(ds, params, warm_start, SweepKernel::Reference(inputs))
 }
 
 fn solve_prepared_impl(
     ds: &Dataset,
-    inputs: &SolverInputs,
     params: &MassParams,
     warm_start: Option<&[f64]>,
-    kernel: SweepKernel,
-    layout_in: Option<&SweepLayout>,
+    kernel: SweepKernel<'_>,
 ) -> InfluenceScores {
     params.validate();
     let nb = ds.bloggers.len();
@@ -624,39 +670,28 @@ fn solve_prepared_impl(
             field("threads", ex.threads()),
         ],
     );
-    assert_eq!(inputs.raw_quality.len(), np, "quality input mismatch");
-    assert_eq!(inputs.gl.len(), nb, "gl input mismatch");
-    assert_eq!(inputs.factors.len(), np, "factors input mismatch");
-    assert_eq!(inputs.tc.len(), nb, "tc input mismatch");
 
-    // Guard against non-finite inputs: a single NaN would otherwise poison
-    // every score through the normalisations and Jacobi sweeps. Offending
-    // entries are neutralised (quality/GL/sentiment → 0, TC → 1) and the run
-    // is flagged `Degenerate` so callers can warn instead of silently
-    // ranking on garbage.
     let mut degenerate = false;
     let (alpha, beta) = (params.alpha, params.beta);
     // Step-3 gather layout: posts grouped by author, ascending post id
     // within each group. Grouping turns the scatter into independent
     // per-blogger gathers, which parallelise freely while keeping each
     // slot's accumulation order — and therefore its bits — identical to
-    // the serial sweep. The fused kernel packs both the author groups and
-    // the comment factors into flat CSR arrays (offsets + one contiguous
-    // payload stream) so the sweep walks unit-stride memory instead of
-    // chasing one heap pointer per post; the reference kernel keeps the
-    // nested `Vec` layout so X17's old-vs-new rows measure the real
-    // pre-§14 data path.
-    // Factor sanitisation is folded into the kernel-specific layout build:
-    // the reference kernel keeps the pre-§14 check-then-maybe-clone over
-    // the nested `Vec`s, the fused kernel sanitises while flattening — one
-    // traversal instead of two, same per-factor values and `degenerate`
+    // the serial sweep. The fused kernel's layout packs both the author
+    // groups and the comment factors into flat CSR arrays (offsets + one
+    // contiguous payload stream) so the sweep walks unit-stride memory
+    // instead of chasing one heap pointer per post; the reference kernel
+    // keeps the nested `Vec` layout so X17's old-vs-new rows measure the
+    // real pre-§14 data path. The reference kernel keeps the pre-§14
+    // check-then-maybe-clone over the nested factors; the fused layout
+    // sanitised while flattening — same per-factor values and `degenerate`
     // outcome either way.
     let factors_clean: Vec<Vec<(usize, f64)>>;
-    let mut factors: &Vec<Vec<(usize, f64)>> = &inputs.factors;
+    let mut factors: &[Vec<(usize, f64)>] = &[];
     let mut posts_by_author: Vec<Vec<usize>> = Vec::new();
-    let layout_owned: SweepLayout;
     let layout: Option<&SweepLayout> = match kernel {
-        SweepKernel::Reference => {
+        SweepKernel::Reference(inputs) => {
+            factors = &inputs.factors;
             if !inputs
                 .factors
                 .iter()
@@ -682,33 +717,27 @@ fn solve_prepared_impl(
             }
             None
         }
-        SweepKernel::Fused => Some(match layout_in {
-            Some(l) => l,
-            None => {
-                layout_owned = SweepLayout::build(ds, inputs);
-                &layout_owned
-            }
-        }),
+        SweepKernel::Fused(l) => {
+            degenerate |= l.sanitised;
+            Some(l)
+        }
     };
-    if let Some(l) = layout {
-        degenerate |= l.sanitised;
-    }
     // Guard against non-finite inputs: a single NaN would otherwise poison
     // every score through the normalisations and Jacobi sweeps. Offending
     // entries are neutralised (quality/GL/sentiment → 0, TC → 1) and the
     // run is flagged `Degenerate` so callers can warn instead of silently
     // ranking on garbage. The layout snapshots the sanitised vectors at
-    // build time, so a layout-carrying solve reads them straight off.
+    // build time, so the fused solve reads them straight off.
     let quality_cow: Cow<[f64]>;
     let gl_cow: Cow<[f64]>;
     let tc_cow: Cow<[f64]>;
-    match layout {
-        Some(l) => {
+    match kernel {
+        SweepKernel::Fused(l) => {
             quality_cow = Cow::Borrowed(&l.quality);
             gl_cow = Cow::Borrowed(&l.gl);
             tc_cow = Cow::Borrowed(&l.tc);
         }
-        None => {
+        SweepKernel::Reference(inputs) => {
             let raw_quality: Vec<f64> = inputs
                 .raw_quality
                 .iter()
@@ -795,7 +824,7 @@ fn solve_prepared_impl(
         let sweep_start = std::time::Instant::now();
 
         match kernel {
-            SweepKernel::Reference => {
+            SweepKernel::Reference(_) => {
                 // Step 1: raw comment scores, then max-normalise. Per-post
                 // folds are independent; the max is grouping-insensitive,
                 // so the chunked tree equals the serial fold bit for bit.
@@ -831,7 +860,7 @@ fn solve_prepared_impl(
                 ex.par_fill(&mut next_inf, |i| alpha * ap[i] + (1.0 - alpha) * gl[i]);
                 residual = ex.par_reduce_det(nb, 0.0, |i| (next_inf[i] - inf[i]).abs(), f64::max);
             }
-            SweepKernel::Fused => {
+            SweepKernel::Fused(l) => {
                 // The reference kernel's pass structure, tightened where it
                 // pays: the per-comment `inf·sf/tc` divides collapse into a
                 // small tabulated refresh, the three full-array max scans
@@ -841,7 +870,6 @@ fn solve_prepared_impl(
                 // contiguous stream pass — the layout autovectorises —
                 // and every op keeps the reference sequence, so the output
                 // bits match the reference kernel exactly (DESIGN.md §14).
-                let l = layout.expect("fused kernel always has a layout");
                 if ex.threads() == 1 {
                     // Serial fast path: the same per-element operations in
                     // the same order, written as plain slice loops. The
@@ -1087,7 +1115,7 @@ fn solve_prepared_impl(
     // Materialise the reporting vectors from the last sweep (validate()
     // guarantees at least one sweep runs).
     match kernel {
-        SweepKernel::Reference => {
+        SweepKernel::Reference(_) => {
             // comment_raw was normalised in place during the sweep; the
             // final AP is recomputed from the last post scores.
             ex.par_fill(&mut ap, |i| {
@@ -1100,7 +1128,7 @@ fn solve_prepared_impl(
                 ex.par_update(&mut ap, |_, &a| a / amax);
             }
         }
-        SweepKernel::Fused => {
+        SweepKernel::Fused(_) => {
             // Nothing to do: the fused sweep leaves comment_raw, post_score
             // and ap exactly where the reference kernel's materialise pass
             // puts them (its final-AP recompute re-gathers the same
@@ -1670,7 +1698,7 @@ mod tests {
             };
             for seed_vec in [None, Some(warm.as_slice())] {
                 let per_call = solve_prepared(ds, &inputs, &params, seed_vec);
-                let prebuilt = solve_prepared_with_layout(ds, &inputs, &layout, &params, seed_vec);
+                let prebuilt = solve_prepared_with_layout(ds, &layout, &params, seed_vec);
                 assert_eq!(
                     per_call,
                     prebuilt,
@@ -1714,7 +1742,7 @@ mod tests {
             let fast = solve_prepared(ds, &inputs, &params, None);
             let slow = solve_prepared_reference(ds, &inputs, &params, None);
             assert_eq!(fast, slow, "threads={threads}");
-            let prebuilt = solve_prepared_with_layout(ds, &inputs, &layout, &params, None);
+            let prebuilt = solve_prepared_with_layout(ds, &layout, &params, None);
             assert_eq!(fast, prebuilt, "threads={threads} prebuilt");
         }
     }
@@ -1727,8 +1755,7 @@ mod tests {
         let params = MassParams::paper();
         let inputs_small = SolverInputs::build(&small.dataset, &small.dataset.index(), &params);
         let layout_small = SweepLayout::build(&small.dataset, &inputs_small);
-        let inputs_big = SolverInputs::build(&big.dataset, &big.dataset.index(), &params);
-        let _ = solve_prepared_with_layout(&big.dataset, &inputs_big, &layout_small, &params, None);
+        let _ = solve_prepared_with_layout(&big.dataset, &layout_small, &params, None);
     }
 
     #[test]

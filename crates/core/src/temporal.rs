@@ -11,12 +11,12 @@
 //! `as_of` ("unborn") contribute nothing.
 //!
 //! Because the transform is a deterministic function of
-//! `(undecayed inputs, dataset timestamps, TemporalParams)`, both the
-//! batch pipeline and the incremental engine apply the *same* code to
-//! bitwise-equal undecayed inputs — which is how window advance inherits
-//! the PR 5 exactness contract: `advance_to(T)` + Exact refresh is
-//! `f64::to_bits`-identical to a batch analysis at `as_of = T`
-//! (`crates/core/tests/temporal_exactness.rs`).
+//! `(undecayed inputs, dataset timestamps, TemporalParams)`, and the
+//! incremental engine applies the *same* per-item weights (cached per item,
+//! through the same [`DecayParams::weight`] and born gate) to bitwise-equal
+//! undecayed inputs, window advance inherits the exactness contract:
+//! `advance_to(T)` + Exact refresh is `f64::to_bits`-identical to a batch
+//! analysis at `as_of = T` (`crates/core/tests/temporal_exactness.rs`).
 
 use crate::params::MassParams;
 use crate::solver::SolverInputs;
@@ -135,6 +135,26 @@ impl DecayParams {
             }
         }
     }
+
+    /// The weight of a comment stamped `ts` on a post stamped `post_ts`:
+    /// its own [`weight`](Self::weight) once its post is born, 0.0 while
+    /// the post is unborn — the born gate [`decay_inputs`] and the
+    /// incremental engine's cached weights both go through.
+    #[inline]
+    pub(crate) fn comment_weight(&self, post_ts: u64, ts: u64, as_of: u64) -> f64 {
+        if post_ts <= as_of {
+            self.weight(ts, as_of)
+        } else {
+            0.0
+        }
+    }
+}
+
+/// Whether a comment counts toward its commenter's `TC` at `as_of`: the
+/// comment and its post are both born (whatever their decay weight).
+#[inline]
+pub(crate) fn comment_visible(post_ts: u64, ts: u64, as_of: u64) -> bool {
+    post_ts <= as_of && ts <= as_of
 }
 
 /// The temporal facet's knobs: *when* the analysis looks from, and how
@@ -162,9 +182,12 @@ impl TemporalParams {
 /// friend graph carries no timestamps.
 ///
 /// Returns `Cow::Borrowed` (zero cost) when `params.temporal` is `None`.
-/// The transform is what both solve paths — batch and incremental — run
-/// immediately before [`solve_prepared`](crate::solver::solve_prepared),
-/// so decayed analyses stay inside the exactness contract.
+/// The batch path runs it immediately before
+/// [`solve_prepared`](crate::solver::solve_prepared). The incremental
+/// engine instead caches the same weights per item and multiplies them in
+/// while deriving its sweep layout — the same per-element products, so
+/// decayed analyses stay inside the exactness contract, and this function
+/// is the reference its layout is tested against.
 pub fn decay_inputs<'a>(
     ds: &Dataset,
     inputs: &'a SolverInputs,
@@ -185,11 +208,9 @@ pub fn decay_inputs<'a>(
     let mut visible_counts = vec![0u32; nb];
     for (k, post) in ds.posts.iter().enumerate() {
         raw_quality[k] *= decay.weight(post.ts, as_of);
-        let born = post.ts <= as_of;
         for (j, c) in post.comments.iter().enumerate() {
-            let w = if born { decay.weight(c.ts, as_of) } else { 0.0 };
-            factors[k][j].1 *= w;
-            if born && c.ts <= as_of {
+            factors[k][j].1 *= decay.comment_weight(post.ts, c.ts, as_of);
+            if comment_visible(post.ts, c.ts, as_of) {
                 visible_counts[c.commenter.index()] += 1;
             }
         }

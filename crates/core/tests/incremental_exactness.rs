@@ -4,7 +4,8 @@
 //! [`IncrementalMass`] analyzer (Exact refresh), once as plain dataset
 //! appends followed by a full batch [`MassAnalysis::analyze`] — and every
 //! score vector must match `f64::to_bits` for bit, at one solver thread and
-//! at four. Plus [`DirtySet`] algebra property tests and warm-start
+//! at four — as must the sweep layout the engine derives from its
+//! maintained stream, against the one a batch solve builds. Plus [`DirtySet`] algebra property tests and warm-start
 //! convergence bounds.
 
 use mass_core::storm::{apply_to_dataset, apply_to_incremental, scripted_storm, StormMix};
@@ -13,6 +14,8 @@ use mass_core::{
 };
 use mass_synth::{generate, SynthConfig};
 use proptest::prelude::*;
+
+mod common;
 
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
@@ -68,6 +71,10 @@ fn exact_refresh_is_bit_identical_to_full_recompute_across_threads() {
                     bits(&inc.scores().gl),
                     bits(&batch.scores.gl),
                     "{gl:?} threads {threads} round {round}: GL facet"
+                );
+                assert!(
+                    inc.sweep_layout() == common::batch_layout(&plain, &params),
+                    "{gl:?} threads {threads} round {round}: maintained layout"
                 );
             }
         }

@@ -16,6 +16,8 @@ use mass_synth::{generate, SynthConfig};
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+mod common;
+
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
@@ -65,6 +67,7 @@ proptest! {
             let blogger_bits = bits(&inc.scores().blogger);
             let gl_bits = bits(&inc.scores().gl);
             let matrix_bits: Vec<Vec<u64>> = inc.domain_matrix().iter().map(|r| bits(r)).collect();
+            let layout = inc.sweep_layout();
 
             inc.inject_refresh_fault(fault);
             let outcome = quiet_catch(|| inc.refresh());
@@ -77,6 +80,7 @@ proptest! {
             prop_assert_eq!(&bits(&inc.scores().gl), &gl_bits, "{:?} tore GL", fault);
             let after: Vec<Vec<u64>> = inc.domain_matrix().iter().map(|r| bits(r)).collect();
             prop_assert_eq!(&after, &matrix_bits, "{:?} tore the domain matrix", fault);
+            prop_assert!(inc.sweep_layout() == layout, "{:?} tore the maintained stream", fault);
 
             // Fully usable: the retry absorbs the same edits and lands on
             // the batch fixed point — no torn CSR state observable.
@@ -93,6 +97,11 @@ proptest! {
                 fault
             );
             prop_assert_eq!(&bits(&inc.scores().gl), &bits(&batch.scores.gl));
+            prop_assert!(
+                inc.sweep_layout() == common::batch_layout(inc.dataset(), &params),
+                "maintained layout after recovery from {:?}",
+                fault
+            );
         }
     }
 }
@@ -120,6 +129,7 @@ fn warm_mode_faults_roll_back_too() {
     let batch = MassAnalysis::analyze(inc.dataset(), &params);
     assert_eq!(bits(&inc.scores().blogger), bits(&batch.scores.blogger));
     assert_eq!(bits(&inc.scores().gl), bits(&batch.scores.gl));
+    assert!(inc.sweep_layout() == common::batch_layout(inc.dataset(), &params));
 }
 
 #[test]

@@ -3,7 +3,8 @@
 //! [`IncrementalMass`] engine (`advance_to` + Exact refresh) must be
 //! `f64::to_bits`-identical to a full batch [`MassAnalysis::analyze`] at
 //! the same horizon — across seeds, window schedules, decay laws, and
-//! solver thread counts {1, 4}. Plus property tests on [`DecayParams`]:
+//! solver thread counts {1, 4} — and the sweep layout the engine derives
+//! from its cached weights must equal the batch one. Plus property tests on [`DecayParams`]:
 //! validation never panics and always returns typed errors on degenerate
 //! half-lives, weights live in `[0, 1]` and decrease with age, and an
 //! infinite half-life reproduces the undecayed analysis bit for bit.
@@ -14,6 +15,8 @@ use mass_core::{
 };
 use mass_synth::{generate, SynthConfig};
 use proptest::prelude::*;
+
+mod common;
 
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
@@ -85,6 +88,10 @@ fn window_advance_is_bit_identical_to_batch_analysis_at_every_horizon() {
                             "{tag}: post scores"
                         );
                         assert_eq!(bits(&inc.scores().gl), bits(&batch.scores.gl), "{tag}: GL");
+                        assert!(
+                            inc.sweep_layout() == common::batch_layout(&ds, &batch_params),
+                            "{tag}: maintained layout"
+                        );
                     }
                 }
             }
@@ -127,6 +134,10 @@ fn advance_interleaved_with_edit_storms_stays_exact() {
                 bits(&inc.scores().post),
                 bits(&batch.scores.post),
                 "threads {threads} round {round}: post scores"
+            );
+            assert!(
+                inc.sweep_layout() == common::batch_layout(&plain, &batch_params),
+                "threads {threads} round {round}: maintained layout"
             );
         }
     }

@@ -31,6 +31,15 @@ pub const SERVE_LATENCY_BOUNDS: [f64; 24] = [
     1.5e3, 2e3, 2.5e3, 3.5e3, 5e3, 1e4, 2.5e4, 1e5, 1e6, 1e7,
 ];
 
+/// Bucket upper bounds for edit freshness — the time from accepting an
+/// edit batch to publishing the snapshot that absorbed it (microseconds).
+/// A refresh of a paper-scale corpus takes a few milliseconds, so the
+/// buckets are dense across 1–50 ms and then taper off.
+pub const EDIT_PUBLISH_BOUNDS: [f64; 24] = [
+    250.0, 500.0, 1e3, 1.5e3, 2e3, 3e3, 4e3, 5e3, 6e3, 8e3, 1e4, 1.25e4, 1.5e4, 2e4, 2.5e4, 3e4,
+    4e4, 5e4, 7.5e4, 1e5, 2.5e5, 5e5, 1e6, 1e7,
+];
+
 /// A monotonically increasing counter. Inert when obtained from a disabled
 /// registry.
 #[derive(Clone, Debug, Default)]

@@ -9,19 +9,27 @@
 /// Peak resident set size of the current process in KiB (`VmHWM`),
 /// or 0 when the platform exposes no such counter.
 pub fn peak_rss_kb() -> u64 {
-    proc_status_kb("VmHWM:")
+    rss_kb().0
 }
 
 /// Current resident set size of the current process in KiB (`VmRSS`),
 /// or 0 when unavailable.
 pub fn current_rss_kb() -> u64 {
-    proc_status_kb("VmRSS:")
+    rss_kb().1
 }
 
-fn proc_status_kb(key: &str) -> u64 {
+/// `(peak, current)` resident set size in KiB, both taken from one read
+/// of `/proc/self/status` — so `peak >= current` holds even while other
+/// threads allocate, which two separate reads cannot promise. `(0, 0)`
+/// when unavailable.
+pub fn rss_kb() -> (u64, u64) {
     let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0;
+        return (0, 0);
     };
+    (status_kb(&status, "VmHWM:"), status_kb(&status, "VmRSS:"))
+}
+
+fn status_kb(status: &str, key: &str) -> u64 {
     for line in status.lines() {
         if let Some(rest) = line.strip_prefix(key) {
             return rest
@@ -44,8 +52,11 @@ mod tests {
     fn linux_reports_nonzero_rss() {
         assert!(peak_rss_kb() > 0);
         assert!(current_rss_kb() > 0);
-        // The high-water mark can never be below the current level.
-        assert!(peak_rss_kb() >= current_rss_kb());
+        // The high-water mark can never be below the current level — as
+        // long as both come from one read: sibling tests allocate between
+        // two separate reads.
+        let (peak, current) = rss_kb();
+        assert!(peak >= current, "VmHWM {peak} < VmRSS {current}");
     }
 
     #[test]

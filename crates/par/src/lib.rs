@@ -170,7 +170,16 @@ impl Pool {
 
 impl Drop for Pool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        // The flag is set under the queue lock: a worker checks it and
+        // parks on `ready` while holding that lock, so it either sees the
+        // flag or is already waiting when `notify_all` fires. Set outside
+        // the lock, the store and the notify could both land between a
+        // worker's check and its wait, and `join` below would block
+        // forever on a worker that never wakes.
+        {
+            let _queue = self.shared.queue.lock().unwrap();
+            self.shared.shutdown.store(true, Ordering::SeqCst);
+        }
         self.shared.ready.notify_all();
         for handle in self.workers.get_mut().unwrap().drain(..) {
             let _ = handle.join();
@@ -715,6 +724,27 @@ mod tests {
         assert_eq!(msg, "chunk exploded");
         // The pool must remain usable after a panicked region.
         assert_eq!(Exec::on(&pool, 4).par_sum(100, |i| i as f64), 4950.0);
+    }
+
+    #[test]
+    fn pool_drop_never_loses_the_shutdown_wakeup() {
+        // Regression: the shutdown flag used to be stored outside the queue
+        // lock, so a worker between its flag check and its condvar wait
+        // missed the wakeup and `drop` hung in `join` (within a few
+        // thousand create/use/drop cycles). A watchdog turns a hang into a
+        // failure.
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for _ in 0..10_000 {
+                let pool = Pool::new(8);
+                assert_eq!(Exec::on(&pool, 8).par_sum(4_096, |_| 1.0), 4_096.0);
+                drop(pool);
+            }
+            done_tx.send(()).unwrap();
+        });
+        done_rx
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("Pool::drop hung joining its workers");
     }
 
     #[test]

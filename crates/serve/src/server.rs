@@ -22,10 +22,11 @@ use mass_core::{
     ServingSnapshot, StormMix,
 };
 use mass_obs::json::Json;
+use mass_obs::metrics::EDIT_PUBLISH_BOUNDS;
 use mass_obs::{field, CompletedTrace, TraceId};
 use mass_types::{DomainId, Sentiment};
-use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, Read};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -98,6 +99,17 @@ enum EditBatch {
     Advance { to: u64 },
 }
 
+/// An accepted batch on its way to the writer thread.
+struct QueuedBatch {
+    /// The submitting request's trace id, so the writer's refresh spans
+    /// correlate back to the request that caused them.
+    trace: TraceId,
+    /// When `POST /edits` accepted the batch (the start of its
+    /// `serve.edit_publish_us` freshness interval).
+    accepted: Instant,
+    batch: EditBatch,
+}
+
 /// State shared by the accept thread, workers, and the writer.
 struct Shared {
     config: ServeConfig,
@@ -113,9 +125,7 @@ struct Shared {
     refresh_failures: AtomicU64,
     requests: AtomicU64,
     shed: AtomicU64,
-    /// Batches carry the submitting request's trace id so the writer's
-    /// refresh spans correlate back to the request that caused them.
-    edits_tx: Mutex<Option<Sender<(TraceId, EditBatch)>>>,
+    edits_tx: Mutex<Option<Sender<QueuedBatch>>>,
     cache: AdVectorCache,
     /// Fault armed via `/admin/inject-fault` for the next refresh.
     armed_fault: Mutex<Option<RefreshFault>>,
@@ -317,6 +327,18 @@ fn shed(mut stream: TcpStream, shared: &Shared) {
     let resp = Response::error(503, "overloaded")
         .with_header("Retry-After", shared.config.retry_after_secs.to_string());
     let _ = resp.write_to(&mut stream);
+    // Closing a socket with unread request bytes sends a reset, which
+    // makes the client's read fail before it sees the 503. Half-close,
+    // then drain what already arrived — without blocking the accept loop.
+    let _ = stream.shutdown(Shutdown::Write);
+    if stream.set_nonblocking(true).is_ok() {
+        let mut sink = [0u8; 4096];
+        for _ in 0..16 {
+            if !matches!(stream.read(&mut sink), Ok(n) if n > 0) {
+                break;
+            }
+        }
+    }
 }
 
 fn worker_loop(queue: Arc<BoundedQueue<TcpStream>>, shared: Arc<Shared>) {
@@ -506,7 +528,7 @@ fn debug_requests(req: &Request, shared: &Shared) -> Response {
 
 /// `GET /debug/slo`: one JSON page answering "are we inside our
 /// objectives right now" — epoch/staleness, backlog, shed, the rolling
-/// window's latency quantiles, and error-budget burn.
+/// window's latency and edit-freshness quantiles, and error-budget burn.
 fn debug_slo(shared: &Shared) -> Response {
     let plane = &shared.plane;
     let stats = plane.window_stats();
@@ -555,6 +577,14 @@ fn debug_slo(shared: &Shared) -> Response {
                 ),
                 ("p50_ms".into(), quantile_ms(stats.p50_us)),
                 ("p99_ms".into(), quantile_ms(stats.p99_us)),
+                (
+                    "edit_publish_p50_ms".into(),
+                    quantile_ms(stats.edit_publish_p50_us),
+                ),
+                (
+                    "edit_publish_p99_ms".into(),
+                    quantile_ms(stats.edit_publish_p99_us),
+                ),
                 (
                     "error_budget_burn".into(),
                     Json::Num(plane.error_budget_burn(&stats)),
@@ -854,9 +884,13 @@ fn edits(req: &Request, shared: &Shared) -> Response {
     }
     // Stamp the batch with this request's trace id: the refresh it
     // triggers records its spans under the same id.
-    let trace = mass_obs::current_trace();
+    let queued = QueuedBatch {
+        trace: mass_obs::current_trace(),
+        accepted: Instant::now(),
+        batch,
+    };
     let sent = match shared.edits_tx.lock().unwrap().as_ref() {
-        Some(tx) => tx.send((trace, batch)).is_ok(),
+        Some(tx) => tx.send(queued).is_ok(),
         None => false,
     };
     if !sent {
@@ -944,11 +978,11 @@ fn validate_script(engine: &IncrementalMass, script: &[ScriptedEdit]) -> Result<
     Ok(())
 }
 
-fn writer_loop(
-    mut engine: IncrementalMass,
-    rx: Receiver<(TraceId, EditBatch)>,
-    shared: Arc<Shared>,
-) {
+fn writer_loop(mut engine: IncrementalMass, rx: Receiver<QueuedBatch>, shared: Arc<Shared>) {
+    // Accept times of the batches applied to the engine but not yet
+    // published; a quarantined refresh keeps them for the retry that
+    // finally publishes their edits.
+    let mut unpublished: Vec<Instant> = Vec::new();
     while let Ok(first) = rx.recv() {
         // Coalesce whatever else is queued: one refresh absorbs them all.
         let mut batches = vec![first];
@@ -959,14 +993,17 @@ fn writer_loop(
         // first traced one so /debug/requests can link request → refresh.
         let trace = batches
             .iter()
-            .map(|(t, _)| *t)
+            .map(|b| b.trace)
             .find(|t| t.is_set())
             .unwrap_or(TraceId::NONE);
         // A window advance must republish even when no weight changed bits
         // (the snapshot's horizon moved, so `?as_of=` validation needs a
         // fresh capture) — the flag defeats the empty-refresh skip below.
         let mut advanced = false;
-        for (_, batch) in batches {
+        for QueuedBatch {
+            accepted, batch, ..
+        } in batches
+        {
             shared.pending_batches.fetch_sub(1, Ordering::SeqCst);
             let script = match batch {
                 EditBatch::Script(script) => script,
@@ -974,6 +1011,7 @@ fn writer_loop(
                     match engine.advance_to(to) {
                         Ok(stats) => {
                             advanced = true;
+                            unpublished.push(accepted);
                             mass_obs::counter("serve.window_advances").inc();
                             mass_obs::info(
                                 "serve.window_advanced",
@@ -1006,7 +1044,10 @@ fn writer_loop(
                 }
             };
             match validate_script(&engine, &script) {
-                Ok(()) => apply_to_incremental(&mut engine, &script),
+                Ok(()) => {
+                    apply_to_incremental(&mut engine, &script);
+                    unpublished.push(accepted);
+                }
                 Err(why) => {
                     mass_obs::counter("serve.edits_rejected").add(script.len() as u64);
                     mass_obs::warn("serve.batch_rejected", &[field("why", why)]);
@@ -1055,6 +1096,12 @@ fn writer_loop(
                 mass_obs::counter("serve.refreshes").inc();
                 let snap = Arc::new(ServingSnapshot::capture(&engine, shared.config.topk_cap));
                 shared.publish(snap);
+                let fresh = mass_obs::histogram_with("serve.edit_publish_us", &EDIT_PUBLISH_BOUNDS);
+                for accepted in unpublished.drain(..) {
+                    let us = accepted.elapsed().as_micros() as u64;
+                    fresh.record(us as f64);
+                    shared.plane.observe_edit_publish(us);
+                }
                 mass_obs::info(
                     "serve.published",
                     &[
@@ -1250,6 +1297,48 @@ mod tests {
         assert_eq!(
             window.get("error_budget_burn").and_then(Json::as_f64),
             Some(0.0)
+        );
+        handle.shutdown();
+    }
+
+    #[test]
+    fn published_edits_report_their_freshness() {
+        let handle = start(tiny_engine(), ServeConfig::default()).unwrap();
+        let addr = handle.addr().to_string();
+        let t = Duration::from_secs(5);
+        let accepted =
+            crate::client::post(&addr, "/edits", br#"{"storm": 4, "seed": 2}"#, t).unwrap();
+        assert_eq!(accepted.status, 202, "{}", accepted.body);
+        // The writer records a batch's freshness right after publishing
+        // the snapshot that absorbed it: poll the SLO page itself.
+        let mut fresh = None;
+        for _ in 0..250 {
+            let reply = crate::client::get(&addr, "/debug/slo", t).unwrap();
+            let doc = mass_obs::json::parse(&reply.body).unwrap();
+            let window = doc.get("window").unwrap();
+            if let Some(p50) = window.get("edit_publish_p50_ms").and_then(Json::as_f64) {
+                fresh = Some((
+                    p50,
+                    window.get("edit_publish_p99_ms").and_then(Json::as_f64),
+                ));
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let (p50, p99) = fresh.expect("a published batch reaches /debug/slo");
+        assert!(p50 > 0.0, "p50 {p50}");
+        assert!(
+            p99.is_some_and(|p99| p99 >= p50),
+            "p99 {p99:?} vs p50 {p50}"
+        );
+        let scrape = crate::client::get(&addr, "/metrics", t).unwrap();
+        let report = mass_obs::prometheus::validate(&scrape.body).expect("valid exposition");
+        assert!(report.families.contains_key("serve_edit_publish_us"));
+        assert!(
+            scrape
+                .body
+                .contains("serve_edit_publish_us_bucket{window=\"60s\""),
+            "window-labelled freshness histogram missing"
         );
         handle.shutdown();
     }

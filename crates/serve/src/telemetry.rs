@@ -14,7 +14,7 @@
 //! endpoints always (unless `live_metrics` is off, which makes every
 //! handle inert — the "telemetry off" arm of the X15 overhead bench).
 
-use mass_obs::metrics::SERVE_LATENCY_BOUNDS;
+use mass_obs::metrics::{EDIT_PUBLISH_BOUNDS, SERVE_LATENCY_BOUNDS};
 use mass_obs::prometheus::PromWriter;
 use mass_obs::{
     Counter, FlightRecorder, Gauge, Histogram, Registry, TraceId, TraceIdGen, WindowCounter,
@@ -72,6 +72,11 @@ pub struct WindowStats {
     pub p50_us: Option<f64>,
     /// Window p99 latency in µs, if any traffic.
     pub p99_us: Option<f64>,
+    /// Window p50 edit freshness (accept → publish) in µs, if any batch
+    /// was published.
+    pub edit_publish_p50_us: Option<f64>,
+    /// Window p99 edit freshness in µs.
+    pub edit_publish_p99_us: Option<f64>,
 }
 
 /// One server's live telemetry: hoisted lock-free handles, windows, the
@@ -84,6 +89,7 @@ pub struct TelemetryPlane {
     trace_gen: TraceIdGen,
     window_secs: u64,
     win_request_us: WindowHistogram,
+    win_edit_publish_us: WindowHistogram,
     win_requests: WindowCounter,
     win_errors: WindowCounter,
     /// `serve.requests` — fully routed requests.
@@ -110,6 +116,9 @@ pub struct TelemetryPlane {
     pub request_us: Histogram,
     /// `serve.refresh_us` cumulative refresh-duration histogram.
     pub refresh_us: Histogram,
+    /// `serve.edit_publish_us`: per accepted edit batch, the time from
+    /// accepting it to publishing the snapshot that absorbed it.
+    pub edit_publish_us: Histogram,
     /// `serve.epoch` gauge (set on publish).
     pub epoch: Gauge,
     /// `serve.stale_ms` gauge (set at scrape time).
@@ -144,6 +153,7 @@ impl TelemetryPlane {
             trace_gen: TraceIdGen::new(cfg.trace_seed),
             window_secs,
             win_request_us: WindowHistogram::new(&SERVE_LATENCY_BOUNDS, window_secs, slots),
+            win_edit_publish_us: WindowHistogram::new(&EDIT_PUBLISH_BOUNDS, window_secs, slots),
             win_requests: WindowCounter::new(window_secs, slots),
             win_errors: WindowCounter::new(window_secs, slots),
             requests: registry.counter("serve.requests"),
@@ -158,6 +168,7 @@ impl TelemetryPlane {
             cache_misses: registry.counter("serve.ad_cache_misses"),
             request_us: registry.histogram_with("serve.request_us", &SERVE_LATENCY_BOUNDS),
             refresh_us: registry.histogram("serve.refresh_us"),
+            edit_publish_us: registry.histogram_with("serve.edit_publish_us", &EDIT_PUBLISH_BOUNDS),
             epoch: registry.gauge("serve.epoch"),
             stale_ms: registry.gauge("serve.stale_ms"),
             queue_depth: registry.gauge("serve.queue_depth"),
@@ -206,14 +217,25 @@ impl TelemetryPlane {
         self.refresh_us.record(elapsed_us as f64);
     }
 
+    /// Records one published edit batch's freshness (accept → publish).
+    pub fn observe_edit_publish(&self, elapsed_us: u64) {
+        self.edit_publish_us.record(elapsed_us as f64);
+        if self.live {
+            self.win_edit_publish_us.record(elapsed_us as f64);
+        }
+    }
+
     /// Rolled-up window view for `/debug/slo`.
     pub fn window_stats(&self) -> WindowStats {
         let snap = self.win_request_us.snapshot();
+        let fresh = self.win_edit_publish_us.snapshot();
         WindowStats {
             requests: self.win_requests.sum(),
             errors: self.win_errors.sum(),
             p50_us: snap.quantile(0.50),
             p99_us: snap.quantile(0.99),
+            edit_publish_p50_us: fresh.quantile(0.50),
+            edit_publish_p99_us: fresh.quantile(0.99),
         }
     }
 
@@ -236,6 +258,11 @@ impl TelemetryPlane {
             let label = format!("{}s", self.window_secs);
             let labels: [(&str, &str); 1] = [("window", label.as_str())];
             w.histogram("serve.request_us", &labels, &self.win_request_us.snapshot());
+            w.histogram(
+                "serve.edit_publish_us",
+                &labels,
+                &self.win_edit_publish_us.snapshot(),
+            );
             w.gauge(
                 "serve.window_requests",
                 &labels,
@@ -305,6 +332,7 @@ mod tests {
         plane.observe_request(200, 250);
         plane.observe_request(500, 2_500);
         plane.observe_refresh(true, 15_000);
+        plane.observe_edit_publish(18_000);
         plane.epoch.set(3);
         let text = plane.render_prometheus();
         let report = mass_obs::prometheus::validate(&text).expect(&text);
@@ -312,6 +340,7 @@ mod tests {
             "serve_requests",
             "serve_request_us",
             "serve_refreshes",
+            "serve_edit_publish_us",
             "serve_epoch",
             "serve_window_requests",
             "serve_flight_sampled",
@@ -322,5 +351,11 @@ mod tests {
             text.contains("serve_request_us_bucket{window=\"60s\""),
             "{text}"
         );
+        assert!(
+            text.contains("serve_edit_publish_us_bucket{window=\"60s\""),
+            "{text}"
+        );
+        let fresh = plane.window_stats();
+        assert!(fresh.edit_publish_p50_us.is_some() && fresh.edit_publish_p99_us.is_some());
     }
 }

@@ -28,6 +28,11 @@ impl InterestMiner {
         InterestMiner { classifier }
     }
 
+    /// The wrapped domain classifier.
+    pub fn classifier(&self) -> &NaiveBayes {
+        &self.classifier
+    }
+
     /// Number of domains in the underlying catalogue.
     pub fn domain_count(&self) -> usize {
         self.classifier.classes()

@@ -195,7 +195,7 @@ if [[ $fast -eq 0 ]]; then
   "$mass" http --url "$base/metrics" --expect 200 \
     --out "$obs_dir/scrape.prom" >/dev/null
   "$mass" obs-validate --prometheus "$obs_dir/scrape.prom" \
-    --expect-families serve_requests,serve_request_us,serve_epoch,serve_queue_depth,serve_window_requests,serve_flight_sampled
+    --expect-families serve_requests,serve_request_us,serve_edit_publish_us,serve_epoch,serve_queue_depth,serve_window_requests,serve_flight_sampled
   "$mass" http --url "$base/debug/slo" --expect 200 >/dev/null
 
   # Flight recorder: an injected slow edit (debug sleep > the 40 ms
@@ -237,7 +237,19 @@ if [[ $fast -eq 0 ]]; then
   "$mass" obs-validate --trace "$obs_dir/serve.jsonl" \
     --metrics "$obs_dir/serve_metrics.json" \
     --expect-spans serve.request,incremental.refresh \
-    --expect-metrics serve.requests,serve.request_us,serve.refreshes,serve.refresh_failures,serve.epoch
+    --expect-metrics serve.requests,serve.request_us,serve.refreshes,serve.refresh_failures,serve.epoch,serve.edit_publish_us
+
+  echo "== perfbench smoke: every workload builds, runs and passes its output check =="
+  # perfbench (its own Cargo workspace; BENCHMARK.json runs it) checks the
+  # output of every op it times. A short run of each workload catches a
+  # broken benchmark build or a failed output check before a benchmark
+  # run does. Inputs, spill files and traces go to the git-ignored
+  # perfbench/work/.
+  for workload in rank-paper refresh-stream serve-mixed ingest-spill; do
+    last="$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+      --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)"
+    [[ "$last" == *'"correct":true'* ]] || { echo "perfbench $workload failed its output check: $last"; exit 1; }
+  done
 fi
 
 echo "all checks passed"
