@@ -1,7 +1,7 @@
 //! X17 — kernel speed: the §14 hardware-limit pass measured against the
 //! kernels it replaced, with every bit-identity contract checked inline.
 //!
-//! Five rows, each an interleaved A/B race. Speedups are the median of
+//! Four rows, each an interleaved A/B race. Speedups are the median of
 //! per-round ratios — old and new run back to back inside each round, so
 //! VM steal and frequency phases cancel in the ratio:
 //!
@@ -18,11 +18,6 @@
 //!   the pre-§14 per-document `posterior_ids_ref` loop. Rows bit-compared.
 //!   The `f32` fast path is timed too and asserted within
 //!   [`NB_FAST_TOLERANCE`] of the `f64` rows.
-//! * **build** — fused quality+sentiment input sweep vs the separate
-//!   two-pass build (shingle novelty on, the default path). Inputs
-//!   bit-compared. Shingling dominates this row, so the ratio hovers near
-//!   1×; the fused sweep's job is removing a corpus traversal, not this
-//!   row's wall clock.
 //!
 //! Writes `BENCH_X17.json`.
 //!
@@ -282,35 +277,6 @@ fn main() {
         format!("<= {NB_FAST_TOLERANCE:.0e}"),
     ]);
 
-    // --- input build: fused vs separate corpus sweep --------------------
-    let paper = MassParams::paper(); // shingle novelty ON — the default path
-    let sep = SolverInputs::build_prepared_separate(ds, &ix, &paper, &corpus);
-    let fus = SolverInputs::build_prepared(ds, &ix, &paper, &corpus);
-    let build_identical = sep == fus;
-    assert!(
-        build_identical,
-        "fused input build diverged from the separate passes"
-    );
-    let (build_old, build_new, build_speedup) = race(
-        5,
-        1,
-        || {
-            std::hint::black_box(SolverInputs::build_prepared_separate(
-                ds, &ix, &paper, &corpus,
-            ));
-        },
-        || {
-            std::hint::black_box(SolverInputs::build_prepared(ds, &ix, &paper, &corpus));
-        },
-    );
-    table.row([
-        "input build (shingle on)".into(),
-        format!("{build_old:.0}"),
-        format!("{build_new:.0}"),
-        format!("{build_speedup:.2}x"),
-        "yes".into(),
-    ]);
-
     println!("{table}");
     println!(
         "corpus: 800 bloggers, {} posts, {} sweeps to converge; f32 max drift {max_diff:.2e}",
@@ -332,9 +298,6 @@ fn main() {
         ("nb_new_us".into(), Json::Num(nb_new)),
         ("nb_speedup".into(), Json::Num(nb_speedup)),
         ("nb_f32_max_diff".into(), Json::Num(max_diff)),
-        ("build_old_us".into(), Json::Num(build_old)),
-        ("build_new_us".into(), Json::Num(build_new)),
-        ("build_speedup".into(), Json::Num(build_speedup)),
         ("bit_identical".into(), Json::Bool(true)),
         ("release".into(), Json::Bool(release)),
     ]);

@@ -149,7 +149,6 @@ fn mass_params(args: &Args) -> Result<MassParams, String> {
         threads: args.get_parse("threads", 0usize)?,
         block_nodes: args.get_parse("block-size", 0usize)?,
         nb_precision,
-        fused_prepare: !args.flag("no-fuse"),
         temporal: temporal_params(args)?,
         ..MassParams::paper()
     };
@@ -1865,23 +1864,14 @@ mod tests {
 
     #[test]
     fn kernel_knobs_parse_into_params() {
-        let a = args(&[
-            "rank",
-            "--block-size",
-            "4096",
-            "--nb-precision",
-            "fast",
-            "--no-fuse",
-        ]);
+        let a = args(&["rank", "--block-size", "4096", "--nb-precision", "fast"]);
         let p = mass_params(&a).unwrap();
         assert_eq!(p.block_nodes, 4096);
         assert_eq!(p.nb_precision, mass_text::NbPrecision::Fast);
-        assert!(!p.fused_prepare);
 
         let defaults = mass_params(&args(&["rank"])).unwrap();
         assert_eq!(defaults.block_nodes, 0);
         assert_eq!(defaults.nb_precision, mass_text::NbPrecision::Exact);
-        assert!(defaults.fused_prepare);
 
         let err = mass_params(&args(&["rank", "--nb-precision", "f16"])).unwrap_err();
         assert!(err.contains("nb-precision"), "{err}");

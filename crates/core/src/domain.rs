@@ -97,8 +97,9 @@ pub fn train_on_tagged(ds: &Dataset, domains: usize) -> Option<NaiveBayes> {
 }
 
 /// [`train_on_tagged`] from the prepared document-term rows: each tagged
-/// post contributes its CSR `(term, count)` row instead of being
-/// re-tokenized. Produces a bit-identical model.
+/// post's CSR row is counted into a dense table by term id
+/// ([`NaiveBayes::train_prepared`]) instead of being re-tokenized.
+/// Produces a model with bit-identical posteriors.
 pub fn train_on_tagged_prepared(
     ds: &Dataset,
     domains: usize,
@@ -107,22 +108,12 @@ pub fn train_on_tagged_prepared(
     if domains == 0 {
         return None;
     }
-    let mut trainer = NaiveBayesTrainer::new(domains);
-    let mut any = false;
-    for (k, post) in ds.posts.iter().enumerate() {
-        if let Some(d) = post.true_domain {
-            let (terms, counts) = corpus.doc_terms(k);
-            trainer.add_term_counts(
-                d.index(),
-                terms
-                    .iter()
-                    .zip(counts)
-                    .map(|(&t, &c)| (corpus.resolve(t), c)),
-            );
-            any = true;
-        }
-    }
-    any.then(|| trainer.build(1))
+    let tagged = ds
+        .posts
+        .iter()
+        .enumerate()
+        .filter_map(|(k, post)| post.true_domain.map(|d| (k, d.index())));
+    NaiveBayes::train_prepared(corpus, domains, tagged, 1)
 }
 
 fn classify_all(ds: &Dataset, model: &NaiveBayes, threads: usize) -> Vec<Vec<f64>> {
@@ -246,6 +237,41 @@ mod tests {
         for row in &iv {
             assert!((row.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         }
+    }
+
+    /// The dense trainer against the string trainer: same posterior bits
+    /// on every post, with most domains left without a tagged post.
+    #[test]
+    fn dense_training_matches_string_training_on_every_post() {
+        let synth = mass_synth::generate(&mass_synth::SynthConfig::tiny(9)).dataset;
+        let mut partial = synth.clone();
+        for (k, p) in partial.posts.iter_mut().enumerate() {
+            if k % 3 != 0 {
+                p.true_domain = None;
+            }
+        }
+        for ds in [tagged_dataset(), synth, partial] {
+            let corpus = PreparedCorpus::build(&ds, 1);
+            let nd = ds.domains.len();
+            let by_string = train_on_tagged(&ds, nd).unwrap();
+            let dense = train_on_tagged_prepared(&ds, nd, &corpus).unwrap();
+            assert_eq!(by_string.vocabulary_size(), dense.vocabulary_size());
+            let compiled = dense.compile(corpus.interner());
+            for (k, p) in ds.posts.iter().enumerate() {
+                let doc = format!("{} {}", p.title, p.text);
+                let want = bits(&by_string.posterior(&doc));
+                assert_eq!(want, bits(&dense.posterior(&doc)), "post {k}");
+                assert_eq!(
+                    want,
+                    bits(&compiled.posterior_ids(corpus.doc_tokens(k))),
+                    "post {k}, compiled"
+                );
+            }
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]

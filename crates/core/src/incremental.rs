@@ -198,7 +198,7 @@ impl IncrementalMass {
         let corpus = PreparedCorpus::build(&dataset, params.threads);
         // Build inputs with a persistent detector so later posts dedupe
         // against the initial corpus.
-        let mut detector = make_detector(&params);
+        let mut detector = make_detector(&params, &corpus);
         let link = LinkCsr::from_digraph(&gl_graph(&dataset, &params));
         let gl = gl_scores_csr(&link, &params, None);
         let live = LiveInputs::new(

@@ -106,11 +106,6 @@ pub struct MassParams {
     /// tolerance-bounded, never bit-identical, so artifacts built with it
     /// must not feed byte-identity gates.
     pub nb_precision: NbPrecision,
-    /// Build quality and comment-sentiment inputs in one fused corpus sweep
-    /// (the default) instead of two separate passes. The fused sweep is
-    /// bit-identical to the separate path — `false` keeps the legacy
-    /// two-pass build callable for differential pinning.
-    pub fused_prepare: bool,
     /// Temporal facet (DESIGN.md §15): when set, scoring weights every
     /// post and comment by its age at `as_of` under the given decay law,
     /// and items stamped after `as_of` are invisible. `None` (the
@@ -137,7 +132,6 @@ impl MassParams {
             threads: 1,
             block_nodes: 0,
             nb_precision: NbPrecision::Exact,
-            fused_prepare: true,
             temporal: None,
         }
     }
@@ -195,7 +189,6 @@ impl PartialEq for MassParams {
             && self.threads == other.threads
             && self.block_nodes == other.block_nodes
             && self.nb_precision == other.nb_precision
-            && self.fused_prepare == other.fused_prepare
             && self.temporal == other.temporal
             && matches!(
                 (&self.iv, &other.iv),

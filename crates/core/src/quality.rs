@@ -8,7 +8,7 @@
 
 use crate::params::{LengthMode, MassParams};
 use mass_text::novelty::novelty_from_markers;
-use mass_text::{NoveltyDetector, NoveltyParams, PreparedCorpus};
+use mass_text::{NoveltyDetector, PreparedCorpus};
 use mass_types::Dataset;
 
 /// The length factor of the quality score for a post of `len` words.
@@ -28,7 +28,8 @@ pub fn length_term(len: usize, mode: LengthMode) -> f64 {
 
 /// One post's *raw* (unnormalised) quality given a shared novelty detector.
 /// The detector accumulates corpus state, so posts must be fed in corpus
-/// order; `None` uses marker-word novelty only.
+/// order; `None` uses marker-word novelty only. The post's text is
+/// tokenized into the detector's own vocabulary.
 pub fn raw_quality_of(
     post: &mass_types::Post,
     params: &MassParams,
@@ -45,15 +46,19 @@ pub fn raw_quality_of(
     length_term(post.length_words(), params.length_mode) * novelty
 }
 
-/// Creates the shingle detector a configuration calls for.
-pub fn make_detector(params: &MassParams) -> Option<NoveltyDetector> {
-    (params.use_novelty && params.shingle_novelty)
-        .then(|| NoveltyDetector::new(NoveltyParams::default()))
+fn wants_detector(params: &MassParams) -> bool {
+    params.use_novelty && params.shingle_novelty
+}
+
+/// Creates the shingle detector a configuration calls for, over `corpus`'s
+/// vocabulary so the corpus's token ids can be fed to it directly.
+pub fn make_detector(params: &MassParams, corpus: &PreparedCorpus) -> Option<NoveltyDetector> {
+    wants_detector(params).then(|| NoveltyDetector::for_corpus(corpus))
 }
 
 /// Per-post *raw* quality scores (length term × novelty, unnormalised).
 pub fn raw_quality_scores(ds: &Dataset, params: &MassParams) -> Vec<f64> {
-    let mut detector = make_detector(params);
+    let mut detector = wants_detector(params).then(NoveltyDetector::new);
     ds.posts
         .iter()
         .map(|post| raw_quality_of(post, params, detector.as_mut()))
@@ -61,20 +66,20 @@ pub fn raw_quality_scores(ds: &Dataset, params: &MassParams) -> Vec<f64> {
 }
 
 /// [`raw_quality_scores`] over a [`PreparedCorpus`]: novelty shingles are
-/// built from the already-interned body tokens instead of re-tokenizing
-/// `post.text`, bit-identical to the string path (`&str` and `String` hash
-/// alike, and the marker scan still reads the raw text).
+/// the already-interned body tokens, so no post is re-tokenized. The
+/// scores are bit-identical to the string path, because novelty depends
+/// only on which shingles are equal, and the marker scan still reads the
+/// raw text.
 ///
 /// The caller supplies — and keeps — the detector so later incremental
-/// posts dedupe against this corpus; pass
-/// [`make_detector`]`(params).as_mut()` for a one-shot run.
+/// posts dedupe against this corpus. It must be built over this corpus's
+/// vocabulary: pass [`make_detector`]`(params, corpus).as_mut()`.
 pub fn raw_quality_scores_with_detector(
     ds: &Dataset,
     corpus: &PreparedCorpus,
     params: &MassParams,
     mut detector: Option<&mut NoveltyDetector>,
 ) -> Vec<f64> {
-    let mut toks: Vec<&str> = Vec::new();
     ds.posts
         .iter()
         .enumerate()
@@ -83,11 +88,7 @@ pub fn raw_quality_scores_with_detector(
                 1.0
             } else {
                 match detector.as_deref_mut() {
-                    Some(d) => {
-                        toks.clear();
-                        toks.extend(corpus.text_tokens(k).iter().map(|&t| corpus.resolve(t)));
-                        d.score_and_add_tokens(&post.text, &toks)
-                    }
+                    Some(d) => d.score_and_add_ids(&post.text, corpus.text_tokens(k)),
                     None => novelty_from_markers(&post.text),
                 }
             };
@@ -102,7 +103,7 @@ pub fn raw_quality_scores_prepared(
     corpus: &PreparedCorpus,
     params: &MassParams,
 ) -> Vec<f64> {
-    let mut detector = make_detector(params);
+    let mut detector = make_detector(params, corpus);
     raw_quality_scores_with_detector(ds, corpus, params, detector.as_mut())
 }
 

@@ -18,9 +18,8 @@
 
 use crate::gl::gl_scores;
 use crate::params::MassParams;
-use crate::quality::{length_term, make_detector, raw_quality_scores, raw_quality_scores_prepared};
+use crate::quality::{raw_quality_scores, raw_quality_scores_prepared};
 use mass_obs::field;
-use mass_text::novelty::novelty_from_markers;
 use mass_text::{PreparedCorpus, SentimentLexicon};
 use mass_types::{BloggerId, Dataset, DatasetIndex, PostId};
 use std::borrow::Cow;
@@ -58,92 +57,17 @@ impl SolverInputs {
     /// Builds all inputs from a dataset whose text is already interned:
     /// novelty and sentiment read token ids from the [`PreparedCorpus`]
     /// instead of re-tokenizing. Bit-identical to [`SolverInputs::build`].
-    ///
-    /// With [`MassParams::fused_prepare`] (the default) quality and comment
-    /// sentiment are computed in one fused corpus sweep; `false` routes
-    /// through [`SolverInputs::build_prepared_separate`]. Both produce the
-    /// same inputs bit for bit (DESIGN.md §14).
     pub fn build_prepared(
         ds: &Dataset,
         ix: &DatasetIndex,
         params: &MassParams,
         corpus: &PreparedCorpus,
     ) -> Self {
-        if params.fused_prepare {
-            Self::build_prepared_fused(ds, ix, params, corpus)
-        } else {
-            Self::build_prepared_separate(ds, ix, params, corpus)
-        }
-    }
-
-    /// The legacy two-pass prepared build: quality in one corpus sweep,
-    /// comment sentiment in a second. Kept callable so the differential
-    /// suite and the X17 bench can pin the fused sweep against it.
-    pub fn build_prepared_separate(
-        ds: &Dataset,
-        ix: &DatasetIndex,
-        params: &MassParams,
-        corpus: &PreparedCorpus,
-    ) -> Self {
+        let _span = mass_obs::span("solver.build_inputs");
         SolverInputs {
             raw_quality: raw_quality_scores_prepared(ds, corpus, params),
             gl: gl_scores(ds, params),
             factors: resolve_comment_factors_prepared(ds, corpus),
-            tc: compute_tc(ds, ix, params),
-        }
-    }
-
-    /// One fused sweep over the prepared corpus: each post's quality terms
-    /// (length × novelty) and its comments' sentiment factors are resolved
-    /// together while the post's interned tokens are hot in cache, instead
-    /// of two full traversals. The novelty detector sees posts in the same
-    /// corpus order and every per-post op sequence is unchanged, so the
-    /// inputs are bit-identical to the separate path.
-    fn build_prepared_fused(
-        ds: &Dataset,
-        ix: &DatasetIndex,
-        params: &MassParams,
-        corpus: &PreparedCorpus,
-    ) -> Self {
-        let _span = mass_obs::span("solver.build_inputs_fused");
-        let mut detector = make_detector(params);
-        let compiled = SentimentLexicon::default().compile(corpus.interner());
-        let np = ds.posts.len();
-        let mut raw_quality = Vec::with_capacity(np);
-        let mut factors: Vec<Vec<(usize, f64)>> = Vec::with_capacity(np);
-        let mut toks: Vec<&str> = Vec::new();
-        for (k, post) in ds.posts.iter().enumerate() {
-            let novelty = if !params.use_novelty {
-                1.0
-            } else {
-                match detector.as_mut() {
-                    Some(d) => {
-                        toks.clear();
-                        toks.extend(corpus.text_tokens(k).iter().map(|&t| corpus.resolve(t)));
-                        d.score_and_add_tokens(&post.text, &toks)
-                    }
-                    None => novelty_from_markers(&post.text),
-                }
-            };
-            raw_quality.push(length_term(post.length_words(), params.length_mode) * novelty);
-            factors.push(
-                post.comments
-                    .iter()
-                    .enumerate()
-                    .map(|(j, c)| {
-                        let sf = match c.sentiment {
-                            Some(s) => s.factor(),
-                            None => compiled.factor_ids(corpus.comment_tokens(k, j)),
-                        };
-                        (c.commenter.index(), sf)
-                    })
-                    .collect(),
-            );
-        }
-        SolverInputs {
-            raw_quality,
-            gl: gl_scores(ds, params),
-            factors,
             tc: compute_tc(ds, ix, params),
         }
     }
@@ -1633,48 +1557,6 @@ mod tests {
             fast.blogger.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
             slow.blogger.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
         );
-    }
-
-    /// The fused quality+sentiment input sweep must reproduce the separate
-    /// two-pass build bit for bit, across every prepare configuration.
-    #[test]
-    fn fused_build_matches_separate_build_bitwise() {
-        let out = mass_synth::generate(&mass_synth::SynthConfig::tiny(11));
-        let ds = &out.dataset;
-        let ix = ds.index();
-        for shingles in [false, true] {
-            for use_novelty in [true, false] {
-                let params = MassParams {
-                    shingle_novelty: shingles,
-                    use_novelty,
-                    ..MassParams::paper()
-                };
-                let corpus = PreparedCorpus::build(ds, params.threads);
-                let separate = SolverInputs::build_prepared_separate(ds, &ix, &params, &corpus);
-                let fused = SolverInputs::build_prepared(ds, &ix, &params, &corpus);
-                assert_eq!(
-                    separate
-                        .raw_quality
-                        .iter()
-                        .map(|x| x.to_bits())
-                        .collect::<Vec<_>>(),
-                    fused
-                        .raw_quality
-                        .iter()
-                        .map(|x| x.to_bits())
-                        .collect::<Vec<_>>(),
-                    "quality diverged (shingles={shingles} novelty={use_novelty})"
-                );
-                for (k, (a, b)) in separate.factors.iter().zip(&fused.factors).enumerate() {
-                    assert_eq!(a.len(), b.len(), "post {k}");
-                    for ((ja, sa), (jb, sb)) in a.iter().zip(b) {
-                        assert_eq!(ja, jb, "post {k} commenter");
-                        assert_eq!(sa.to_bits(), sb.to_bits(), "post {k} factor");
-                    }
-                }
-                assert_eq!(separate, fused, "remaining fields diverged");
-            }
-        }
     }
 
     /// A prebuilt [`SweepLayout`] must be invisible in the output: same

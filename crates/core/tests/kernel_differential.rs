@@ -1,13 +1,11 @@
 //! Kernel differential suite (DESIGN.md §14).
 //!
 //! The §14 hardware-limit kernels are opt-in rewrites of hot paths that
-//! promise either bit-identity (blocked pull, fused sweeps, exact NB
-//! gather) or a documented tolerance (`NbPrecision::Fast`). This suite
-//! pins both promises at corpus scale, through the public analysis entry
-//! points a user actually reaches:
+//! promise either bit-identity (blocked pull, exact NB gather) or a
+//! documented tolerance (`NbPrecision::Fast`). This suite pins both
+//! promises at corpus scale, through the public analysis entry points a
+//! user actually reaches:
 //!
-//! * the fused prepare+solve path vs separate sweeps — `f64::to_bits`
-//!   identical scores;
 //! * blocked CSR pull at several tile sizes vs the plain kernel —
 //!   identical scores;
 //! * the exact NB batch gather vs the scalar per-document reference —
@@ -44,34 +42,6 @@ fn assert_scores_identical(a: &InfluenceScores, b: &InfluenceScores, what: &str)
         b.residual.to_bits(),
         "{what}: residual"
     );
-}
-
-/// Fused corpus sweeps and the fused solver kernel must be invisible in
-/// the output: analyses differing only in `fused_prepare` (and in thread
-/// count, which selects the serial fast path) carry identical bits.
-#[test]
-fn fused_path_matches_separate_sweeps_bitwise() {
-    let ds = corpus(400, 7);
-    for threads in [1usize, 4] {
-        let fused = MassAnalysis::analyze(
-            &ds,
-            &MassParams {
-                threads,
-                fused_prepare: true,
-                ..MassParams::paper()
-            },
-        );
-        let separate = MassAnalysis::analyze(
-            &ds,
-            &MassParams {
-                threads,
-                fused_prepare: false,
-                ..MassParams::paper()
-            },
-        );
-        let what = format!("fused vs separate, threads {threads}");
-        assert_scores_identical(&fused.scores, &separate.scores, &what);
-    }
 }
 
 /// Blocked pull is opt-in (`block_nodes`), and any tile size must be a

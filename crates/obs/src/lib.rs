@@ -522,6 +522,8 @@ pub struct SpanGuard {
     /// capture was active at open.
     capture: Option<(u64, usize)>,
     start: Instant,
+    /// Fields for the close record, see [`SpanGuard::record`].
+    close_fields: Vec<Field>,
 }
 
 impl SpanGuard {
@@ -533,6 +535,15 @@ impl SpanGuard {
             trace: 0,
             capture: None,
             start: Instant::now(),
+            close_fields: Vec::new(),
+        }
+    }
+
+    /// Attaches a field to the span's close record, for values known only
+    /// at the end of the scope. A no-op on an inert guard.
+    pub fn record(&mut self, field: Field) {
+        if self.telemetry.is_some() {
+            self.close_fields.push(field);
         }
     }
 }
@@ -570,7 +581,7 @@ impl Drop for SpanGuard {
             parent,
             depth,
             name: self.name,
-            fields: &[],
+            fields: &self.close_fields,
             elapsed_us: Some(elapsed_us),
         });
     }
@@ -603,6 +614,7 @@ pub fn span_with(name: &'static str, fields: Vec<Field>) -> SpanGuard {
             trace,
             capture,
             start: Instant::now(),
+            close_fields: Vec::new(),
         };
     };
     let id = t.next_span.fetch_add(1, Ordering::Relaxed);
@@ -632,6 +644,7 @@ pub fn span_with(name: &'static str, fields: Vec<Field>) -> SpanGuard {
         trace,
         capture,
         start: Instant::now(),
+        close_fields: Vec::new(),
     }
 }
 
@@ -820,6 +833,25 @@ mod tests {
             .map(|d| d.get("t_us").and_then(json::Json::as_u64).unwrap())
             .collect();
         assert!(stamps.windows(2).all(|w| w[0] <= w[1]), "{stamps:?}");
+    }
+
+    #[test]
+    fn recorded_fields_ride_on_the_close_record() {
+        let _guard = GLOBAL_LOCK.lock().unwrap();
+        let mut inert = span("before_install");
+        inert.record(field("dropped", 1u64));
+        drop(inert);
+        let (t, sink) = mem_telemetry();
+        install(t);
+        {
+            let mut s = span_with("load", vec![field("bytes", 10u64)]);
+            s.record(field("posts", 3u64));
+        }
+        uninstall();
+        let lines = sink.lines.lock().unwrap();
+        assert_eq!(lines.len(), 2, "{lines:?}");
+        assert!(lines[0].contains("\"bytes\"") && !lines[0].contains("\"posts\""));
+        assert!(lines[1].contains("\"posts\":3"), "{}", lines[1]);
     }
 
     #[test]

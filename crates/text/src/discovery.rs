@@ -194,28 +194,18 @@ impl TopicModel {
 
     /// [`Self::bootstrap_classifier`] over a prepared corpus — trains the
     /// identical model from the CSR document-term rows without re-tokenizing
-    /// a single document.
+    /// a single document ([`NaiveBayes::train_prepared`]).
     pub fn bootstrap_classifier_prepared(&self, corpus: &PreparedCorpus) -> Option<NaiveBayes> {
         if self.topics.is_empty() || corpus.posts() == 0 {
             return None;
         }
         let topic_of = self.membership_ids(corpus.interner());
-        let mut trainer = NaiveBayesTrainer::new(self.topics.len());
-        let mut any = false;
-        for k in 0..corpus.posts() {
+        let labels = (0..corpus.posts()).filter_map(|k| {
             let (terms, counts) = corpus.doc_terms(k);
-            if let Some(topic) = self.classify_counts(terms, counts, &topic_of) {
-                trainer.add_term_counts(
-                    topic,
-                    terms
-                        .iter()
-                        .zip(counts)
-                        .map(|(&t, &n)| (corpus.resolve(t), n)),
-                );
-                any = true;
-            }
-        }
-        any.then(|| trainer.build(2))
+            self.classify_counts(terms, counts, &topic_of)
+                .map(|topic| (k, topic))
+        });
+        NaiveBayes::train_prepared(corpus, self.topics.len(), labels, 2)
     }
 }
 

@@ -27,7 +27,7 @@ fn fnv1a(term: &str) -> u64 {
 }
 
 /// Term → dense-id vocabulary arena (open-addressed, linear probing).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct Interner {
     /// All term bytes, concatenated in id order.
     arena: String,
@@ -47,6 +47,12 @@ impl PartialEq for Interner {
 }
 
 impl Eq for Interner {}
+
+impl Default for Interner {
+    fn default() -> Self {
+        Self::new()
+    }
+}
 
 impl Interner {
     /// An empty interner.
@@ -80,6 +86,9 @@ impl Interner {
             }
             i = (i + 1) & mask;
         }
+        // `TermId::MAX` is never issued: novelty shingles pad short posts
+        // with it.
+        assert!(self.spans.len() < TermId::MAX as usize, "vocabulary full");
         let id = self.spans.len() as u32;
         let start = self.arena.len() as u32;
         self.arena.push_str(term);
@@ -190,6 +199,13 @@ mod tests {
         }
         assert_eq!(it.len(), 5);
         assert_eq!(it.iter().map(|(_, t)| t).collect::<Vec<_>>().len(), 5);
+    }
+
+    #[test]
+    fn default_interner_interns() {
+        let mut it = Interner::default();
+        assert_eq!(it.intern("kyoto"), 0);
+        assert_eq!(it.get("kyoto"), Some(0));
     }
 
     #[test]

@@ -17,8 +17,6 @@ pub struct NaiveBayesTrainer {
     classes: usize,
     /// term → per-class occurrence counts.
     term_counts: HashMap<String, Vec<u32>>,
-    /// total token count per class.
-    class_tokens: Vec<u64>,
     /// number of documents per class (for the prior).
     class_docs: Vec<u64>,
 }
@@ -33,7 +31,6 @@ impl NaiveBayesTrainer {
         NaiveBayesTrainer {
             classes,
             term_counts: HashMap::new(),
-            class_tokens: vec![0; classes],
             class_docs: vec![0; classes],
         }
     }
@@ -56,27 +53,6 @@ impl NaiveBayesTrainer {
                 .entry(t.to_string())
                 .or_insert_with(|| vec![0; self.classes]);
             entry[class] += 1;
-            self.class_tokens[class] += 1;
-        }
-    }
-
-    /// Adds a labelled document given its `(term, count)` bag — the prepared
-    /// corpus's CSR row. Produces exactly the trainer state of feeding the
-    /// same token multiset through [`NaiveBayesTrainer::add_tokens`].
-    pub fn add_term_counts<'a, I: IntoIterator<Item = (&'a str, u32)>>(
-        &mut self,
-        class: usize,
-        terms: I,
-    ) {
-        assert!(class < self.classes, "class {class} out of range");
-        self.class_docs[class] += 1;
-        for (t, n) in terms {
-            let entry = self
-                .term_counts
-                .entry(t.to_string())
-                .or_insert_with(|| vec![0; self.classes]);
-            entry[class] += n;
-            self.class_tokens[class] += n as u64;
         }
     }
 
@@ -88,40 +64,12 @@ impl NaiveBayesTrainer {
     /// Freezes the model. `min_term_count` prunes terms seen fewer times in
     /// total (0 or 1 keeps everything).
     pub fn build(self, min_term_count: u32) -> NaiveBayes {
-        let _span = mass_obs::span_with(
-            "text.nb_build",
-            vec![
-                mass_obs::field("classes", self.classes),
-                mass_obs::field("docs", self.document_count()),
-            ],
-        );
-        let mut vocab: Vec<(String, Vec<u32>)> = self
-            .term_counts
-            .into_iter()
-            .filter(|(_, counts)| counts.iter().sum::<u32>() >= min_term_count.max(1))
-            .collect();
-        vocab.sort_by(|a, b| a.0.cmp(&b.0)); // deterministic model
-                                             // Recompute per-class token totals over the surviving vocabulary so
-                                             // the multinomial distributions stay properly normalised.
-        let mut class_tokens = vec![0u64; self.classes];
-        for (_, counts) in &vocab {
-            for (c, &n) in counts.iter().enumerate() {
-                class_tokens[c] += n as u64;
-            }
-        }
-        let term_index: HashMap<String, usize> = vocab
-            .iter()
-            .enumerate()
-            .map(|(i, (t, _))| (t.clone(), i))
-            .collect();
-        let term_class_counts = vocab.into_iter().map(|(_, c)| c).collect();
-        NaiveBayes {
-            classes: self.classes,
-            term_index,
-            term_class_counts,
-            class_tokens,
-            class_docs: self.class_docs,
-        }
+        NaiveBayes::from_term_counts(
+            self.classes,
+            self.term_counts.into_iter().collect(),
+            self.class_docs,
+            min_term_count,
+        )
     }
 }
 
@@ -136,6 +84,93 @@ pub struct NaiveBayes {
 }
 
 impl NaiveBayes {
+    /// Trains on labelled posts of a prepared corpus. `labels` yields
+    /// `(post index, class)` pairs. Each labelled post's CSR row is added
+    /// into one dense `vocab × classes` count table, so no term is
+    /// resolved to a string until the model is built from the table's
+    /// non-zero rows. Counts are integers, so the model equals a
+    /// [`NaiveBayesTrainer`] fed the same posts' token streams, posterior
+    /// for posterior. Returns `None` when no post is labelled.
+    ///
+    /// # Panics
+    /// Panics if `classes == 0` or a label is out of range.
+    pub fn train_prepared(
+        corpus: &PreparedCorpus,
+        classes: usize,
+        labels: impl IntoIterator<Item = (usize, usize)>,
+        min_term_count: u32,
+    ) -> Option<NaiveBayes> {
+        assert!(classes > 0, "need at least one class");
+        let mut counts = vec![0u32; corpus.vocab_len() * classes];
+        let mut class_docs = vec![0u64; classes];
+        for (k, class) in labels {
+            assert!(class < classes, "class {class} out of range");
+            class_docs[class] += 1;
+            let (terms, ns) = corpus.doc_terms(k);
+            for (&t, &n) in terms.iter().zip(ns) {
+                counts[t as usize * classes + class] += n;
+            }
+        }
+        if class_docs.iter().all(|&n| n == 0) {
+            return None;
+        }
+        let vocab = counts
+            .chunks_exact(classes)
+            .enumerate()
+            .filter(|(_, row)| row.iter().any(|&n| n > 0))
+            .map(|(t, row)| (corpus.resolve(t as TermId).to_string(), row.to_vec()))
+            .collect();
+        Some(Self::from_term_counts(
+            classes,
+            vocab,
+            class_docs,
+            min_term_count,
+        ))
+    }
+
+    /// Builds the model from per-term class counts and per-class document
+    /// counts. `min_term_count` prunes terms seen fewer times in total.
+    fn from_term_counts(
+        classes: usize,
+        term_counts: Vec<(String, Vec<u32>)>,
+        class_docs: Vec<u64>,
+        min_term_count: u32,
+    ) -> NaiveBayes {
+        let _span = mass_obs::span_with(
+            "text.nb_build",
+            vec![
+                mass_obs::field("classes", classes),
+                mass_obs::field("docs", class_docs.iter().sum::<u64>()),
+            ],
+        );
+        let mut vocab: Vec<(String, Vec<u32>)> = term_counts
+            .into_iter()
+            .filter(|(_, counts)| counts.iter().sum::<u32>() >= min_term_count.max(1))
+            .collect();
+        vocab.sort_by(|a, b| a.0.cmp(&b.0)); // deterministic model
+                                             // Recompute per-class token totals over the surviving vocabulary so
+                                             // the multinomial distributions stay properly normalised.
+        let mut class_tokens = vec![0u64; classes];
+        for (_, counts) in &vocab {
+            for (c, &n) in counts.iter().enumerate() {
+                class_tokens[c] += n as u64;
+            }
+        }
+        let term_index: HashMap<String, usize> = vocab
+            .iter()
+            .enumerate()
+            .map(|(i, (t, _))| (t.clone(), i))
+            .collect();
+        let term_class_counts = vocab.into_iter().map(|(_, c)| c).collect();
+        NaiveBayes {
+            classes,
+            term_index,
+            term_class_counts,
+            class_tokens,
+            class_docs,
+        }
+    }
+
     /// Number of classes the model was trained with.
     pub fn classes(&self) -> usize {
         self.classes
@@ -657,37 +692,44 @@ mod tests {
     }
 
     #[test]
-    fn term_count_training_equals_token_training() {
+    fn dense_training_equals_token_training() {
         let docs = [
             (0, "travel hotel hotel beach"),
             (1, "football match match match team"),
             (0, "hotel tour"),
+            (2, "unlabelled words stay out of the model"),
         ];
-        let mut by_tokens = NaiveBayesTrainer::new(2);
-        let mut by_counts = NaiveBayesTrainer::new(2);
-        for &(class, text) in &docs {
-            by_tokens.add_document(class, text);
-            let mut bag: std::collections::BTreeMap<String, u32> = Default::default();
-            for t in tokenize(text) {
-                *bag.entry(t).or_insert(0) += 1;
+        let mut b = mass_types::DatasetBuilder::new();
+        let a = b.blogger("a");
+        for (_, text) in docs {
+            b.post(a, "", text);
+        }
+        let corpus = PreparedCorpus::build(&b.build().unwrap(), 1);
+        // Class 2 gets no document; the last post is not labelled.
+        let labels = [(0, 0), (1, 1), (2, 0)];
+        for min_term_count in [1, 2] {
+            let mut by_tokens = NaiveBayesTrainer::new(3);
+            for &(k, class) in &labels {
+                by_tokens.add_document(class, docs[k].1);
             }
-            by_counts.add_term_counts(class, bag.iter().map(|(t, &n)| (t.as_str(), n)));
+            let a = by_tokens.build(min_term_count);
+            let b = NaiveBayes::train_prepared(&corpus, 3, labels, min_term_count).unwrap();
+            assert_eq!(a.vocabulary_size(), b.vocabulary_size());
+            for probe in ["hotel match", "beach", "absent", "", docs[3].1] {
+                assert_eq!(
+                    a.log_scores(probe)
+                        .iter()
+                        .map(|x| x.to_bits())
+                        .collect::<Vec<_>>(),
+                    b.log_scores(probe)
+                        .iter()
+                        .map(|x| x.to_bits())
+                        .collect::<Vec<_>>(),
+                    "models diverged on {probe:?} (min_term_count {min_term_count})"
+                );
+            }
         }
-        let a = by_tokens.build(1);
-        let b = by_counts.build(1);
-        for probe in ["hotel match", "beach", "absent", ""] {
-            assert_eq!(
-                a.log_scores(probe)
-                    .iter()
-                    .map(|x| x.to_bits())
-                    .collect::<Vec<_>>(),
-                b.log_scores(probe)
-                    .iter()
-                    .map(|x| x.to_bits())
-                    .collect::<Vec<_>>(),
-                "models diverged on {probe:?}"
-            );
-        }
+        assert!(NaiveBayes::train_prepared(&corpus, 3, [], 1).is_none());
     }
 
     /// A small interned corpus shared by the compiled-gather tests.

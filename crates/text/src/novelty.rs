@@ -16,10 +16,11 @@
 //!    appeared in *earlier* posts is treated as a copy even without marker
 //!    words. This catches verbatim reposts the lexicon misses.
 
-use crate::tokenize::tokenize;
-use std::collections::hash_map::DefaultHasher;
+use crate::intern::{Interner, TermId};
+use crate::prepared::PreparedCorpus;
+use crate::tokenize::for_each_token;
 use std::collections::HashSet;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Phrases that mark a post as reproduced content. Checked against the
 /// lowercased text, so multi-word markers work.
@@ -38,24 +39,17 @@ const COPY_MARKERS: &[&str] = &[
     "zhuanzai", // transliteration of 转载, ubiquitous on 2000s Chinese blogs like MSN Spaces
 ];
 
-/// Tuning for [`NoveltyDetector`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct NoveltyParams {
-    /// Shingle width in tokens.
-    pub shingle_len: usize,
-    /// Fraction of shingles that must be previously seen before a post is
-    /// treated as a near-duplicate.
-    pub duplicate_threshold: f64,
-}
+/// Shingle width in tokens. One `u128` key holds exactly four `TermId`s.
+pub const SHINGLE_LEN: usize = 4;
 
-impl Default for NoveltyParams {
-    fn default() -> Self {
-        NoveltyParams {
-            shingle_len: 4,
-            duplicate_threshold: 0.8,
-        }
-    }
-}
+/// Fraction of a post's shingles that must have been seen before it for
+/// the post to count as a near-duplicate.
+pub const DUPLICATE_THRESHOLD: f64 = 0.8;
+
+/// Fills the unused lanes of a short post's key. The interner never issues
+/// this id, so a padded key cannot equal a real 4-gram, and the number of
+/// padded lanes tags the post's length.
+const PAD: TermId = TermId::MAX;
 
 /// Scores the novelty of one post from its text alone (marker words only).
 ///
@@ -72,66 +66,159 @@ pub fn novelty_from_markers(text: &str) -> f64 {
     }
 }
 
-/// Corpus-level novelty detector combining marker words with shingle overlap.
-///
-/// Feed posts in (chronological) order with [`NoveltyDetector::score_and_add`];
-/// each call returns the post's novelty given everything seen *before* it,
-/// then indexes it. The first copy of a text scores 1.0, later near-verbatim
-/// copies fall into the (0, 0.1] band.
-#[derive(Debug)]
-pub struct NoveltyDetector {
-    params: NoveltyParams,
-    seen_shingles: HashSet<u64>,
+/// Number of shingle keys a post of `tokens` tokens contributes.
+fn shingle_count(tokens: usize) -> usize {
+    match tokens {
+        0 => 0,
+        n if n < SHINGLE_LEN => 1,
+        n => n - SHINGLE_LEN + 1,
+    }
 }
 
-impl NoveltyDetector {
-    /// Creates a detector.
-    ///
-    /// # Panics
-    /// Panics if `shingle_len == 0` or the threshold is outside (0, 1].
-    pub fn new(params: NoveltyParams) -> Self {
-        assert!(params.shingle_len > 0, "shingle_len must be positive");
-        assert!(
-            params.duplicate_threshold > 0.0 && params.duplicate_threshold <= 1.0,
-            "duplicate_threshold must be in (0, 1]"
-        );
-        NoveltyDetector {
-            params,
-            seen_shingles: HashSet::new(),
+/// Packs four ids into one key, lane `i` at bits `32i..32i + 32`.
+fn pack(lanes: [TermId; SHINGLE_LEN]) -> u128 {
+    lanes
+        .iter()
+        .rev()
+        .fold(0u128, |key, &id| (key << 32) | u128::from(id))
+}
+
+/// Appends the shingle keys of one token stream: every exact 4-gram, or
+/// one padded key for a post of one to three tokens.
+fn shingle_keys(tokens: &[TermId], out: &mut Vec<u128>) {
+    if tokens.len() < SHINGLE_LEN {
+        if !tokens.is_empty() {
+            let mut lanes = [PAD; SHINGLE_LEN];
+            lanes[..tokens.len()].copy_from_slice(tokens);
+            out.push(pack(lanes));
+        }
+        return;
+    }
+    out.extend(
+        tokens
+            .windows(SHINGLE_LEN)
+            .map(|w| pack([w[0], w[1], w[2], w[3]])),
+    );
+}
+
+/// Multiply-fold hasher for shingle keys. The keys are exact, so the hash
+/// only spreads them over buckets; one 64×64→128-bit multiply of the two
+/// key halves, folded, does that at a fraction of SipHash's cost.
+#[derive(Clone, Copy, Default)]
+struct ShingleHasher(u64);
+
+const FOLD_LO: u64 = 0x243f_6a88_85a3_08d3;
+const FOLD_HI: u64 = 0x1319_8a2e_0370_7344;
+
+fn fold_mul(a: u64, b: u64) -> u64 {
+    let full = u128::from(a) * u128::from(b);
+    (full as u64) ^ ((full >> 64) as u64)
+}
+
+impl Hasher for ShingleHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Only `u128` keys are hashed; this keeps the trait total.
+        for &b in bytes {
+            self.0 = fold_mul(self.0 ^ u64::from(b) ^ FOLD_LO, FOLD_HI);
         }
     }
 
-    /// Scores `text` against the corpus so far, then adds it to the corpus.
-    pub fn score_and_add(&mut self, text: &str) -> f64 {
-        let tokens = tokenize(text);
-        let refs: Vec<&str> = tokens.iter().map(String::as_str).collect();
-        self.score_and_add_tokens(text, &refs)
+    fn write_u128(&mut self, key: u128) {
+        self.0 = fold_mul((key as u64) ^ FOLD_LO, ((key >> 64) as u64) ^ FOLD_HI);
+    }
+}
+
+/// Corpus-level novelty detector combining marker words with shingle overlap.
+///
+/// Feed posts in (chronological) order; each call returns the post's
+/// novelty given everything seen *before* it, then indexes it. The first
+/// copy of a text scores 1.0, later near-verbatim copies fall into the
+/// (0, 0.1] band.
+///
+/// A shingle is the exact `TermId` 4-gram packed into a `u128`. The
+/// detector owns the vocabulary those ids come from: a batch detector
+/// starts from the corpus's interner ([`NoveltyDetector::for_corpus`]) and
+/// is fed the corpus's token ids, and [`NoveltyDetector::score_and_add`]
+/// interns new text into the same vocabulary, appending unseen terms.
+/// Whether two shingles are equal does not depend on which ids the terms
+/// got, so every such id space gives the same scores.
+#[derive(Debug, Default)]
+pub struct NoveltyDetector {
+    vocab: Interner,
+    seen: HashSet<u128, BuildHasherDefault<ShingleHasher>>,
+    /// Scratch: the current post's keys, ids and token buffer.
+    keys: Vec<u128>,
+    ids: Vec<TermId>,
+    scratch: String,
+}
+
+impl NoveltyDetector {
+    /// A detector with an empty corpus and an empty vocabulary.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// [`Self::score_and_add`] with the tokenization already done — the
-    /// prepared-corpus path. `tokens` must be the (stopword-filtered) tokens
-    /// of `text`; the raw text is still needed for the marker scan, which is
-    /// a substring search, not a token match. Hashing a resolved `&str`
-    /// produces the same shingle hash as the owned-`String` path, so mixing
-    /// both against one detector is exact.
-    pub fn score_and_add_tokens(&mut self, text: &str, tokens: &[&str]) -> f64 {
+    /// A detector over `corpus`'s vocabulary, for feeding the corpus's
+    /// posts through [`NoveltyDetector::score_and_add_ids`]. The shingle
+    /// set is sized once for every shingle of the corpus, so indexing it
+    /// never rehashes.
+    pub fn for_corpus(corpus: &PreparedCorpus) -> Self {
+        let shingles = (0..corpus.posts())
+            .map(|k| shingle_count(corpus.text_tokens(k).len()))
+            .sum();
+        NoveltyDetector {
+            vocab: corpus.interner().clone(),
+            seen: HashSet::with_capacity_and_hasher(shingles, Default::default()),
+            ..Self::default()
+        }
+    }
+
+    /// The vocabulary the detector's token ids index.
+    pub fn vocabulary(&self) -> &Interner {
+        &self.vocab
+    }
+
+    /// Tokenizes `text`, interns its tokens into the detector's vocabulary,
+    /// and scores it like [`NoveltyDetector::score_and_add_ids`].
+    pub fn score_and_add(&mut self, text: &str) -> f64 {
+        let mut ids = std::mem::take(&mut self.ids);
+        ids.clear();
+        let vocab = &mut self.vocab;
+        for_each_token(text, false, &mut self.scratch, |t| {
+            ids.push(vocab.intern(t))
+        });
+        let score = self.score_and_add_ids(text, &ids);
+        self.ids = ids;
+        score
+    }
+
+    /// Scores a post against the corpus so far, then adds it to the corpus.
+    /// `tokens` are the post body's (stopword-filtered) token ids in the
+    /// detector's vocabulary; the raw text is still needed for the marker
+    /// scan, which is a substring search, not a token match.
+    ///
+    /// All of the post's shingles are checked against the set as it stood
+    /// before the post, and only then added, so a shingle repeated inside
+    /// one post does not count as seen.
+    pub fn score_and_add_ids(&mut self, text: &str, tokens: &[TermId]) -> f64 {
         let marker_score = novelty_from_markers(text);
-        let shingles = self.shingles(tokens);
-        let overlap = if shingles.is_empty() {
+        self.keys.clear();
+        shingle_keys(tokens, &mut self.keys);
+        let overlap = if self.keys.is_empty() {
             0.0
         } else {
-            let seen = shingles
-                .iter()
-                .filter(|s| self.seen_shingles.contains(s))
-                .count();
-            seen as f64 / shingles.len() as f64
+            let seen = self.keys.iter().filter(|k| self.seen.contains(k)).count();
+            seen as f64 / self.keys.len() as f64
         };
-        self.seen_shingles.extend(shingles);
+        self.seen.extend(self.keys.iter().copied());
 
-        if overlap >= self.params.duplicate_threshold {
+        if overlap >= DUPLICATE_THRESHOLD {
             // Near-duplicate: squeeze into (0, 0.1], lower for higher overlap.
-            let dup_score =
-                0.1 * (1.0 - overlap).max(0.01) / (1.0 - self.params.duplicate_threshold).max(0.01);
+            let dup_score = 0.1 * (1.0 - overlap).max(0.01) / (1.0 - DUPLICATE_THRESHOLD).max(0.01);
             marker_score.min(dup_score.clamp(0.001, 0.1))
         } else {
             marker_score
@@ -140,40 +227,8 @@ impl NoveltyDetector {
 
     /// Distinct shingles indexed so far.
     pub fn indexed_shingles(&self) -> usize {
-        self.seen_shingles.len()
+        self.seen.len()
     }
-
-    fn shingles(&self, tokens: &[&str]) -> Vec<u64> {
-        if tokens.len() < self.params.shingle_len {
-            // Short posts hash as a single whole-text shingle.
-            if tokens.is_empty() {
-                return Vec::new();
-            }
-            return vec![hash_tokens(tokens)];
-        }
-        tokens
-            .windows(self.params.shingle_len)
-            .map(hash_tokens)
-            .collect()
-    }
-}
-
-impl Default for NoveltyDetector {
-    fn default() -> Self {
-        Self::new(NoveltyParams::default())
-    }
-}
-
-// `&str` hashes exactly like the `String` it was resolved from (bytes plus
-// the 0xff length terminator), so interned and owned token streams index
-// into the same shingle space.
-fn hash_tokens(tokens: &[&str]) -> u64 {
-    let mut h = DefaultHasher::new();
-    for t in tokens {
-        t.hash(&mut h);
-        0xffu8.hash(&mut h); // separator so ["ab","c"] != ["a","bc"]
-    }
-    h.finish()
 }
 
 #[cfg(test)]
@@ -246,7 +301,7 @@ mod tests {
     }
 
     #[test]
-    fn token_path_matches_text_path_even_interleaved() {
+    fn id_path_matches_text_path_even_interleaved() {
         let texts = [
             "a long enough post about travel plans in summer with many details",
             "a long enough post about travel plans in summer with many details",
@@ -256,37 +311,48 @@ mod tests {
             "",
             "alpha beta gamma delta totally different ending here now",
         ];
-        let mut by_text = NoveltyDetector::default();
-        let mut mixed = NoveltyDetector::default();
-        for (i, text) in texts.iter().enumerate() {
+        let mut b = mass_types::DatasetBuilder::new();
+        let a = b.blogger("a");
+        for t in texts {
+            b.post(a, "", t);
+        }
+        let corpus = PreparedCorpus::build(&b.build().unwrap(), 1);
+        let mut by_text = NoveltyDetector::new();
+        let mut mixed = NoveltyDetector::for_corpus(&corpus);
+        for (k, text) in texts.iter().enumerate() {
             let a = by_text.score_and_add(text);
-            let b = if i % 2 == 0 {
-                let tokens = tokenize(text);
-                let refs: Vec<&str> = tokens.iter().map(String::as_str).collect();
-                mixed.score_and_add_tokens(text, &refs)
+            let b = if k % 2 == 0 {
+                mixed.score_and_add_ids(text, corpus.text_tokens(k))
             } else {
                 mixed.score_and_add(text)
             };
-            assert_eq!(a.to_bits(), b.to_bits(), "diverged on post {i}");
+            assert_eq!(a.to_bits(), b.to_bits(), "diverged on post {k}");
         }
         assert_eq!(by_text.indexed_shingles(), mixed.indexed_shingles());
+        assert_eq!(mixed.vocabulary(), corpus.interner());
     }
 
     #[test]
-    #[should_panic(expected = "shingle_len")]
-    fn zero_shingle_len_rejected() {
-        let _ = NoveltyDetector::new(NoveltyParams {
-            shingle_len: 0,
-            duplicate_threshold: 0.5,
-        });
+    fn short_keys_never_equal_a_long_posts_shingles() {
+        let mut keys = Vec::new();
+        shingle_keys(&[1, 2, 3], &mut keys);
+        shingle_keys(&[1, 2], &mut keys);
+        shingle_keys(&[1], &mut keys);
+        shingle_keys(&[1, 2, 3, 4], &mut keys);
+        shingle_keys(&[], &mut keys);
+        assert_eq!(keys.len(), 4);
+        let distinct: HashSet<u128> = keys.iter().copied().collect();
+        assert_eq!(distinct.len(), 4, "{keys:x?}");
+        assert_eq!(keys[3], 1 | 2 << 32 | 3 << 64 | 4 << 96);
     }
 
     #[test]
-    #[should_panic(expected = "duplicate_threshold")]
-    fn bad_threshold_rejected() {
-        let _ = NoveltyDetector::new(NoveltyParams {
-            shingle_len: 4,
-            duplicate_threshold: 1.5,
-        });
+    fn shingle_count_matches_the_keys() {
+        for n in 0..9u32 {
+            let tokens: Vec<TermId> = (0..n).collect();
+            let mut keys = Vec::new();
+            shingle_keys(&tokens, &mut keys);
+            assert_eq!(keys.len(), shingle_count(n as usize), "{n} tokens");
+        }
     }
 }

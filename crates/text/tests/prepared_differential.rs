@@ -74,15 +74,14 @@ proptest! {
             );
         }
 
-        // 3. Novelty: shingles from resolved tokens == shingles from text,
-        // with the detectors accumulating the same corpus state.
-        let mut old = NoveltyDetector::default();
-        let mut new = NoveltyDetector::default();
+        // 3. Novelty: shingles over the corpus's ids == shingles over ids
+        // the detector interns from the text itself, with the detectors
+        // accumulating the same corpus state.
+        let mut old = NoveltyDetector::new();
+        let mut new = NoveltyDetector::for_corpus(&corpus);
         for (k, p) in ds.posts.iter().enumerate() {
             let legacy = old.score_and_add(&p.text);
-            let toks: Vec<&str> =
-                corpus.text_tokens(k).iter().map(|&t| corpus.resolve(t)).collect();
-            let interned = new.score_and_add_tokens(&p.text, &toks);
+            let interned = new.score_and_add_ids(&p.text, corpus.text_tokens(k));
             prop_assert_eq!(legacy.to_bits(), interned.to_bits(), "novelty {}", k);
         }
 

@@ -274,6 +274,17 @@ mod tests {
     }
 
     #[test]
+    fn a_million_nested_elements_are_an_error_not_an_abort() {
+        let depth = 1_000_000;
+        let doc = format!(
+            "<network>{}{}</network>",
+            "<n>".repeat(depth),
+            "</n>".repeat(depth)
+        );
+        assert!(matches!(from_xml_str(&doc), Err(Error::Syntax { .. })));
+    }
+
+    #[test]
     fn dot_contains_labels_and_weights() {
         let dot = to_dot(&network());
         assert!(dot.starts_with("digraph"));

@@ -33,11 +33,13 @@
 //! corrupted file cannot produce an inconsistent in-memory dataset.
 
 use crate::error::{Error, Result};
-use crate::tree::Element;
+use crate::parser::{Event, Parser};
 use crate::writer::XmlWriter;
+use mass_obs::field;
 use mass_types::{
     Blogger, BloggerId, Comment, Dataset, DomainId, DomainSet, Post, PostId, Sentiment,
 };
+use std::borrow::Cow;
 use std::path::Path;
 
 /// Serialises a dataset to an XML string.
@@ -121,97 +123,233 @@ pub fn to_xml_string(ds: &Dataset) -> String {
     w.finish()
 }
 
-/// Parses a dataset from an XML string and validates it.
-pub fn from_xml_str(xml: &str) -> Result<Dataset> {
-    let root = Element::parse(xml)?;
-    if root.name != "blogosphere" {
-        return Err(Error::schema(format!(
-            "expected <blogosphere>, found <{}>",
-            root.name
-        )));
+/// A start tag, as the loader sees it.
+struct Tag<'a> {
+    name: &'a str,
+    attributes: Vec<(&'a str, Cow<'a, str>)>,
+    self_closing: bool,
+}
+
+impl Tag<'_> {
+    /// The first attribute with this name.
+    fn attr(&self, name: &str) -> Option<&str> {
+        self.attributes
+            .iter()
+            .find(|(k, _)| *k == name)
+            .map(|(_, v)| v.as_ref())
     }
 
-    let mut domains = DomainSet::new(Vec::<String>::new());
-    if let Some(doms) = root.child("domains") {
-        // Collect (id, name) and insert in id order so indices survive.
-        let mut entries: Vec<(usize, String)> = Vec::new();
-        for d in doms.elements_named("domain") {
+    fn require_attr(&self, name: &str) -> Result<&str> {
+        self.attr(name)
+            .ok_or_else(|| Error::schema(format!("<{}> missing attribute {name:?}", self.name)))
+    }
+
+    fn require_usize(&self, name: &str) -> Result<usize> {
+        let raw = self.require_attr(name)?;
+        raw.parse().map_err(|_| {
+            Error::schema(format!(
+                "<{}> attribute {name:?} is not an integer: {raw:?}",
+                self.name
+            ))
+        })
+    }
+}
+
+/// Calls `child` for each child element of the element whose start tag was
+/// just read, up to its end tag. `child` must consume the child's content,
+/// by reading it or passing it to [`skip`]. Text between children is
+/// ignored.
+fn for_each_child<'a>(
+    p: &mut Parser<'a>,
+    self_closing: bool,
+    mut child: impl FnMut(&mut Parser<'a>, Tag<'a>) -> Result<()>,
+) -> Result<()> {
+    if self_closing {
+        return Ok(());
+    }
+    loop {
+        match p.next_event()? {
+            Event::Start {
+                name,
+                attributes,
+                self_closing,
+            } => child(
+                p,
+                Tag {
+                    name,
+                    attributes,
+                    self_closing,
+                },
+            )?,
+            Event::Text(_) => {}
+            Event::End { .. } => return Ok(()),
+            Event::Eof => unreachable!("parser reports unclosed elements as errors"),
+        }
+    }
+}
+
+/// Consumes the content of an element the schema does not read. The parser
+/// still checks it for well-formedness.
+fn skip(p: &mut Parser<'_>, self_closing: bool) -> Result<()> {
+    let mut depth = usize::from(!self_closing);
+    while depth > 0 {
+        match p.next_event()? {
+            Event::Start {
+                self_closing: false,
+                ..
+            } => depth += 1,
+            Event::End { .. } => depth -= 1,
+            Event::Start { .. } | Event::Text(_) => {}
+            Event::Eof => unreachable!("parser reports unclosed elements as errors"),
+        }
+    }
+    Ok(())
+}
+
+/// The element's text: its direct text and CDATA children, concatenated.
+/// Text inside child elements is not part of it.
+fn read_text(p: &mut Parser<'_>, self_closing: bool) -> Result<String> {
+    let mut out = String::new();
+    if self_closing {
+        return Ok(out);
+    }
+    loop {
+        match p.next_event()? {
+            Event::Text(t) if out.is_empty() => out = t.into_owned(),
+            Event::Text(t) => out.push_str(&t),
+            Event::Start { self_closing, .. } => skip(p, self_closing)?,
+            Event::End { .. } => return Ok(out),
+            Event::Eof => unreachable!("parser reports unclosed elements as errors"),
+        }
+    }
+}
+
+fn read_domains(p: &mut Parser<'_>, tag: &Tag<'_>) -> Result<DomainSet> {
+    // Collect (id, name) and insert in id order so indices survive.
+    let mut entries: Vec<(usize, String)> = Vec::new();
+    for_each_child(p, tag.self_closing, |p, d| {
+        if d.name == "domain" {
             entries.push((d.require_usize("id")?, d.require_attr("name")?.to_string()));
         }
-        entries.sort_by_key(|(id, _)| *id);
-        for (expect, (id, name)) in entries.into_iter().enumerate() {
-            if id != expect {
-                return Err(Error::schema(format!(
-                    "domain ids must be dense; expected {expect}, found {id}"
-                )));
-            }
-            domains.insert(name);
+        skip(p, d.self_closing)
+    })?;
+    entries.sort_by_key(|(id, _)| *id);
+    let mut domains = DomainSet::new(Vec::<String>::new());
+    for (expect, (id, name)) in entries.into_iter().enumerate() {
+        if id != expect {
+            return Err(Error::schema(format!(
+                "domain ids must be dense; expected {expect}, found {id}"
+            )));
         }
+        domains.insert(name);
     }
+    Ok(domains)
+}
 
+fn read_bloggers(p: &mut Parser<'_>, tag: &Tag<'_>) -> Result<Vec<Blogger>> {
     let mut bloggers: Vec<Blogger> = Vec::new();
-    if let Some(bs) = root.child("bloggers") {
-        for (expect, b) in bs.elements_named("blogger").enumerate() {
-            let id = b.require_usize("id")?;
-            if id != expect {
-                return Err(Error::schema(format!(
-                    "blogger ids must be dense; expected {expect}, found {id}"
-                )));
-            }
-            let mut blogger = Blogger::new(b.require_attr("name")?);
-            if let Some(p) = b.child("profile") {
-                blogger.profile = p.text();
-            }
-            if let Some(fr) = b.child("friends") {
-                for f in fr.elements_named("friend") {
-                    blogger
-                        .friends
-                        .push(BloggerId::new(f.require_usize("ref")?));
-                }
-            }
-            bloggers.push(blogger);
+    for_each_child(p, tag.self_closing, |p, b| {
+        if b.name != "blogger" {
+            return skip(p, b.self_closing);
         }
-    }
+        let expect = bloggers.len();
+        let id = b.require_usize("id")?;
+        if id != expect {
+            return Err(Error::schema(format!(
+                "blogger ids must be dense; expected {expect}, found {id}"
+            )));
+        }
+        let mut blogger = Blogger::new(b.require_attr("name")?);
+        let (mut profile, mut friends) = (false, false);
+        for_each_child(p, b.self_closing, |p, c| match c.name {
+            "profile" if !profile => {
+                profile = true;
+                blogger.profile = read_text(p, c.self_closing)?;
+                Ok(())
+            }
+            "friends" if !friends => {
+                friends = true;
+                for_each_child(p, c.self_closing, |p, f| {
+                    if f.name == "friend" {
+                        blogger
+                            .friends
+                            .push(BloggerId::new(f.require_usize("ref")?));
+                    }
+                    skip(p, f.self_closing)
+                })
+            }
+            _ => skip(p, c.self_closing),
+        })?;
+        bloggers.push(blogger);
+        Ok(())
+    })?;
+    Ok(bloggers)
+}
 
+fn read_posts(p: &mut Parser<'_>, tag: &Tag<'_>) -> Result<Vec<Post>> {
     let mut posts: Vec<Post> = Vec::new();
-    if let Some(ps) = root.child("posts") {
-        for (expect, p) in ps.elements_named("post").enumerate() {
-            let id = p.require_usize("id")?;
-            if id != expect {
-                return Err(Error::schema(format!(
-                    "post ids must be dense; expected {expect}, found {id}"
-                )));
+    for_each_child(p, tag.self_closing, |p, el| {
+        if el.name != "post" {
+            return skip(p, el.self_closing);
+        }
+        let expect = posts.len();
+        let id = el.require_usize("id")?;
+        if id != expect {
+            return Err(Error::schema(format!(
+                "post ids must be dense; expected {expect}, found {id}"
+            )));
+        }
+        let mut post = Post::new(
+            BloggerId::new(el.require_usize("author")?),
+            String::new(),
+            String::new(),
+        );
+        if let Some(d) = el.attr("domain") {
+            let idx: usize = d
+                .parse()
+                .map_err(|_| Error::schema(format!("post {id} has non-integer domain {d:?}")))?;
+            post.true_domain = Some(DomainId::new(idx));
+        }
+        if let Some(t) = el.attr("ts") {
+            post.ts = t
+                .parse()
+                .map_err(|_| Error::schema(format!("post {id} has non-integer ts {t:?}")))?;
+        }
+        let (mut title, mut text, mut links, mut comments) = (false, false, false, false);
+        for_each_child(p, el.self_closing, |p, c| match c.name {
+            "title" if !title => {
+                title = true;
+                post.title = read_text(p, c.self_closing)?;
+                Ok(())
             }
-            let author = BloggerId::new(p.require_usize("author")?);
-            let title = p.child("title").map(|t| t.text()).unwrap_or_default();
-            let text = p.child("text").map(|t| t.text()).unwrap_or_default();
-            let mut post = Post::new(author, title, text);
-            if let Some(d) = p.attr("domain") {
-                let idx: usize = d.parse().map_err(|_| {
-                    Error::schema(format!("post {id} has non-integer domain {d:?}"))
-                })?;
-                post.true_domain = Some(DomainId::new(idx));
+            "text" if !text => {
+                text = true;
+                post.text = read_text(p, c.self_closing)?;
+                Ok(())
             }
-            if let Some(t) = p.attr("ts") {
-                post.ts = t
-                    .parse()
-                    .map_err(|_| Error::schema(format!("post {id} has non-integer ts {t:?}")))?;
+            "links" if !links => {
+                links = true;
+                for_each_child(p, c.self_closing, |p, l| {
+                    if l.name == "link" {
+                        post.links_to.push(PostId::new(l.require_usize("ref")?));
+                    }
+                    skip(p, l.self_closing)
+                })
             }
-            if let Some(links) = p.child("links") {
-                for l in links.elements_named("link") {
-                    post.links_to.push(PostId::new(l.require_usize("ref")?));
-                }
-            }
-            if let Some(comments) = p.child("comments") {
-                for c in comments.elements_named("comment") {
-                    let commenter = BloggerId::new(c.require_usize("commenter")?);
-                    let sentiment = match c.attr("sentiment") {
+            "comments" if !comments => {
+                comments = true;
+                for_each_child(p, c.self_closing, |p, cm| {
+                    if cm.name != "comment" {
+                        return skip(p, cm.self_closing);
+                    }
+                    let commenter = BloggerId::new(cm.require_usize("commenter")?);
+                    let sentiment = match cm.attr("sentiment") {
                         Some(s) => Some(Sentiment::parse(s).ok_or_else(|| {
                             Error::schema(format!("unknown sentiment {s:?} on post {id}"))
                         })?),
                         None => None,
                     };
-                    let ts = match c.attr("ts") {
+                    let ts = match cm.attr("ts") {
                         Some(t) => t.parse().map_err(|_| {
                             Error::schema(format!("comment on post {id} has non-integer ts {t:?}"))
                         })?,
@@ -219,20 +357,70 @@ pub fn from_xml_str(xml: &str) -> Result<Dataset> {
                     };
                     post.comments.push(Comment {
                         commenter,
-                        text: c.text(),
+                        text: read_text(p, cm.self_closing)?,
                         sentiment,
                         ts,
                     });
-                }
+                    Ok(())
+                })
             }
-            posts.push(post);
+            _ => skip(p, c.self_closing),
+        })?;
+        posts.push(post);
+        Ok(())
+    })?;
+    Ok(posts)
+}
+
+/// Parses a dataset from an XML string and validates it.
+///
+/// The parser's events are read straight into the dataset; no DOM is
+/// built. Of the root's children, the first `<domains>`, `<bloggers>` and
+/// `<posts>` are read, in any order; so are the first `<profile>`,
+/// `<friends>`, `<title>`, `<text>`, `<links>` and `<comments>` of each
+/// blogger or post. Other elements and attributes are skipped, but still
+/// checked for well-formedness. A document with several defects reports
+/// the first one in document order.
+pub fn from_xml_str(xml: &str) -> Result<Dataset> {
+    let mut p = Parser::new(xml);
+    let root = match p.next_event()? {
+        Event::Start {
+            name,
+            attributes,
+            self_closing,
+        } => Tag {
+            name,
+            attributes,
+            self_closing,
+        },
+        Event::Text(_) => return Err(Error::schema("document has text before the root element")),
+        Event::Eof => return Err(Error::schema("document has no root element")),
+        Event::End { .. } => unreachable!("parser rejects dangling end tags"),
+    };
+    if root.name != "blogosphere" {
+        return Err(Error::schema(format!(
+            "expected <blogosphere>, found <{}>",
+            root.name
+        )));
+    }
+    let (mut domains, mut bloggers, mut posts) = (None, None, None);
+    for_each_child(&mut p, root.self_closing, |p, section| {
+        match section.name {
+            "domains" if domains.is_none() => domains = Some(read_domains(p, &section)?),
+            "bloggers" if bloggers.is_none() => bloggers = Some(read_bloggers(p, &section)?),
+            "posts" if posts.is_none() => posts = Some(read_posts(p, &section)?),
+            _ => skip(p, section.self_closing)?,
         }
+        Ok(())
+    })?;
+    if p.next_event()? != Event::Eof {
+        return Err(Error::schema("content after the root element"));
     }
 
     let ds = Dataset {
-        bloggers,
-        posts,
-        domains,
+        bloggers: bloggers.unwrap_or_default(),
+        posts: posts.unwrap_or_default(),
+        domains: domains.unwrap_or_else(|| DomainSet::new(Vec::<String>::new())),
     };
     ds.validate()?;
     Ok(ds)
@@ -245,9 +433,18 @@ pub fn save(ds: &Dataset, path: impl AsRef<Path>) -> Result<()> {
 }
 
 /// Loads and validates a dataset from a file.
+///
+/// Records the `xml.load` span: `bytes` when it opens, and the `bloggers`,
+/// `posts` and `comments` loaded when it closes.
 pub fn load(path: impl AsRef<Path>) -> Result<Dataset> {
     let xml = std::fs::read_to_string(path)?;
-    from_xml_str(&xml)
+    let mut span = mass_obs::span_with("xml.load", vec![field("bytes", xml.len())]);
+    let ds = from_xml_str(&xml)?;
+    let comments: usize = ds.posts.iter().map(|p| p.comments.len()).sum();
+    span.record(field("bloggers", ds.bloggers.len()));
+    span.record(field("posts", ds.posts.len()));
+    span.record(field("comments", comments));
+    Ok(ds)
 }
 
 #[cfg(test)]

@@ -8,27 +8,34 @@
 
 use crate::error::{Error, Result};
 use crate::escape::unescape;
+use std::borrow::Cow;
 
-/// One parse event.
+/// Most elements that may be open at once. A deeper document is refused
+/// with a syntax error at the start tag that would exceed it, so no
+/// consumer — the DOM builder recurses per level — can run out of stack.
+pub const MAX_DEPTH: usize = 1024;
+
+/// One parse event. Names borrow the input; text and attribute values
+/// borrow it too, unless an entity reference had to be decoded.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Event {
+pub enum Event<'a> {
     /// `<name attr="v">` — `self_closing` is true for `<name/>`.
     Start {
         /// Element name.
-        name: String,
+        name: &'a str,
         /// Attributes in document order, values entity-decoded.
-        attributes: Vec<(String, String)>,
+        attributes: Vec<(&'a str, Cow<'a, str>)>,
         /// Whether the tag was `<name …/>`.
         self_closing: bool,
     },
     /// `</name>`.
     End {
         /// Element name.
-        name: String,
+        name: &'a str,
     },
     /// Character data (entity-decoded; CDATA passed through verbatim).
     /// Whitespace-only text between elements is skipped.
-    Text(String),
+    Text(Cow<'a, str>),
     /// End of input.
     Eof,
 }
@@ -37,18 +44,20 @@ pub enum Event {
 ///
 /// The parser checks tag balance: mismatched or dangling end tags are syntax
 /// errors, so a fully-consumed document is well-formed with respect to
-/// nesting.
+/// nesting. It also refuses more than [`MAX_DEPTH`] open elements.
 #[derive(Debug)]
 pub struct Parser<'a> {
+    src: &'a str,
     input: &'a [u8],
     pos: usize,
-    stack: Vec<String>,
+    stack: Vec<&'a str>,
 }
 
 impl<'a> Parser<'a> {
     /// Creates a parser over a complete document.
     pub fn new(input: &'a str) -> Self {
         Parser {
+            src: input,
             input: input.as_bytes(),
             pos: 0,
             stack: Vec::new(),
@@ -61,7 +70,7 @@ impl<'a> Parser<'a> {
     }
 
     /// Advances to the next event.
-    pub fn next_event(&mut self) -> Result<Event> {
+    pub fn next_event(&mut self) -> Result<Event<'a>> {
         loop {
             if self.pos >= self.input.len() {
                 if let Some(open) = self.stack.pop() {
@@ -94,7 +103,7 @@ impl<'a> Parser<'a> {
             } else {
                 let text = self.read_text();
                 if !text.trim().is_empty() {
-                    return Ok(Event::Text(unescape(&text).into_owned()));
+                    return Ok(Event::Text(unescape(text)));
                 }
                 // Skip inter-element whitespace and continue.
             }
@@ -102,7 +111,7 @@ impl<'a> Parser<'a> {
     }
 
     /// Parses all remaining events (testing/diagnostics convenience).
-    pub fn into_events(mut self) -> Result<Vec<Event>> {
+    pub fn into_events(mut self) -> Result<Vec<Event<'a>>> {
         let mut events = Vec::new();
         loop {
             let e = self.next_event()?;
@@ -120,6 +129,12 @@ impl<'a> Parser<'a> {
 
     fn lookahead(&self, prefix: &[u8]) -> bool {
         self.input[self.pos..].starts_with(prefix)
+    }
+
+    /// The input between two byte offsets. Every offset the parser stops
+    /// at is an ASCII byte or the end, so it is always a char boundary.
+    fn slice(&self, start: usize, end: usize) -> &'a str {
+        &self.src[start..end]
     }
 
     fn skip_declaration(&mut self) -> Result<()> {
@@ -144,29 +159,25 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn read_cdata(&mut self) -> Result<Event> {
+    fn read_cdata(&mut self) -> Result<Event<'a>> {
         let start = self.pos;
         let body_start = self.pos + 9; // len("<![CDATA[")
         match find(self.input, body_start, b"]]>") {
             Some(end) => {
-                let text = std::str::from_utf8(&self.input[body_start..end])
-                    .map_err(|_| Error::syntax(start, "CDATA is not valid UTF-8"))?;
                 self.pos = end + 3;
-                Ok(Event::Text(text.to_string()))
+                Ok(Event::Text(Cow::Borrowed(self.slice(body_start, end))))
             }
             None => Err(Error::syntax(start, "unterminated CDATA section")),
         }
     }
 
-    fn read_text(&mut self) -> String {
+    fn read_text(&mut self) -> &'a str {
         let start = self.pos;
-        while self.pos < self.input.len() && self.peek() != b'<' {
-            self.pos += 1;
-        }
-        String::from_utf8_lossy(&self.input[start..self.pos]).into_owned()
+        self.pos = memchr(b'<', self.input, self.pos).unwrap_or(self.input.len());
+        self.slice(start, self.pos)
     }
 
-    fn read_end_tag(&mut self) -> Result<Event> {
+    fn read_end_tag(&mut self) -> Result<Event<'a>> {
         let start = self.pos;
         self.pos += 2; // consume "</"
         let name = self.read_name()?;
@@ -185,7 +196,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn read_start_tag(&mut self) -> Result<Event> {
+    fn read_start_tag(&mut self) -> Result<Event<'a>> {
         let start = self.pos;
         self.pos += 1; // consume '<'
         let name = self.read_name()?;
@@ -200,8 +211,14 @@ impl<'a> Parser<'a> {
             }
             match self.peek() {
                 b'>' => {
+                    if self.stack.len() >= MAX_DEPTH {
+                        return Err(Error::syntax(
+                            start,
+                            format!("<{name}> nests deeper than {MAX_DEPTH} elements"),
+                        ));
+                    }
                     self.pos += 1;
-                    self.stack.push(name.clone());
+                    self.stack.push(name);
                     return Ok(Event::Start {
                         name,
                         attributes,
@@ -237,7 +254,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn read_name(&mut self) -> Result<String> {
+    fn read_name(&mut self) -> Result<&'a str> {
         let start = self.pos;
         while self.pos < self.input.len() {
             let c = self.peek();
@@ -250,9 +267,7 @@ impl<'a> Parser<'a> {
         if self.pos == start {
             return Err(Error::syntax(start, "expected a name"));
         }
-        let name = std::str::from_utf8(&self.input[start..self.pos])
-            .expect("name bytes are ASCII")
-            .to_string();
+        let name = self.slice(start, self.pos);
         if name.as_bytes()[0].is_ascii_digit() || name.starts_with('-') || name.starts_with('.') {
             return Err(Error::syntax(
                 start,
@@ -262,7 +277,7 @@ impl<'a> Parser<'a> {
         Ok(name)
     }
 
-    fn read_quoted_value(&mut self) -> Result<String> {
+    fn read_quoted_value(&mut self) -> Result<Cow<'a, str>> {
         if self.pos >= self.input.len() {
             return Err(Error::syntax(self.pos, "expected attribute value"));
         }
@@ -272,15 +287,12 @@ impl<'a> Parser<'a> {
         }
         self.pos += 1;
         let start = self.pos;
-        while self.pos < self.input.len() && self.peek() != quote {
-            self.pos += 1;
-        }
-        if self.pos >= self.input.len() {
+        let Some(end) = memchr(quote, self.input, start) else {
+            self.pos = self.input.len();
             return Err(Error::syntax(start, "unterminated attribute value"));
-        }
-        let raw = String::from_utf8_lossy(&self.input[start..self.pos]);
-        self.pos += 1;
-        Ok(unescape(&raw).into_owned())
+        };
+        self.pos = end + 1;
+        Ok(unescape(self.slice(start, end)))
     }
 
     fn skip_whitespace(&mut self) {
@@ -288,6 +300,14 @@ impl<'a> Parser<'a> {
             self.pos += 1;
         }
     }
+}
+
+/// Offset of the first `needle` byte at or after `from`.
+fn memchr(needle: u8, haystack: &[u8], from: usize) -> Option<usize> {
+    haystack[from..]
+        .iter()
+        .position(|&b| b == needle)
+        .map(|i| i + from)
 }
 
 fn find(haystack: &[u8], from: usize, needle: &[u8]) -> Option<usize> {
@@ -304,7 +324,7 @@ fn find(haystack: &[u8], from: usize, needle: &[u8]) -> Option<usize> {
 mod tests {
     use super::*;
 
-    fn events(xml: &str) -> Vec<Event> {
+    fn events(xml: &str) -> Vec<Event<'_>> {
         Parser::new(xml).into_events().unwrap()
     }
 
@@ -315,18 +335,18 @@ mod tests {
             evs,
             vec![
                 Event::Start {
-                    name: "a".into(),
+                    name: "a",
                     attributes: vec![],
                     self_closing: false
                 },
                 Event::Start {
-                    name: "b".into(),
-                    attributes: vec![("x".into(), "1".into())],
+                    name: "b",
+                    attributes: vec![("x", "1".into())],
                     self_closing: false
                 },
                 Event::Text("hi".into()),
-                Event::End { name: "b".into() },
-                Event::End { name: "a".into() },
+                Event::End { name: "b" },
+                Event::End { name: "a" },
                 Event::Eof,
             ]
         );
@@ -339,7 +359,7 @@ mod tests {
             evs,
             vec![
                 Event::Start {
-                    name: "r".into(),
+                    name: "r",
                     attributes: vec![],
                     self_closing: true
                 },
@@ -354,8 +374,8 @@ mod tests {
         assert_eq!(
             evs[0],
             Event::Start {
-                name: "x".into(),
-                attributes: vec![("a".into(), "1".into()), ("b".into(), "two".into())],
+                name: "x",
+                attributes: vec![("a", "1".into()), ("b", "two".into())],
                 self_closing: true
             }
         );
@@ -367,8 +387,8 @@ mod tests {
         assert_eq!(
             evs[0],
             Event::Start {
-                name: "t".into(),
-                attributes: vec![("v".into(), "a&b".into())],
+                name: "t",
+                attributes: vec![("v", "a&b".into())],
                 self_closing: false
             }
         );

@@ -1,11 +1,13 @@
 //! A minimal DOM built on the pull parser.
 //!
-//! Schema loaders (datasets, visualisation graphs) are much clearer over a
-//! tree than a raw event stream, and MASS documents are small enough that
-//! materialising them is free compared with the crawl that produced them.
+//! Schema loaders for small documents (visualisation graphs, crawler
+//! checkpoints and hosts) are much clearer over a tree than a raw event
+//! stream. The dataset loader, whose files are the large ones, reads the
+//! event stream directly instead (`dataset_io`).
 
 use crate::error::{Error, Result};
 use crate::parser::{Event, Parser};
+use std::borrow::Cow;
 
 /// A child of an [`Element`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -126,13 +128,16 @@ impl Element {
 
 fn build_element(
     parser: &mut Parser<'_>,
-    name: String,
-    attributes: Vec<(String, String)>,
+    name: &str,
+    attributes: Vec<(&str, Cow<'_, str>)>,
     self_closing: bool,
 ) -> Result<Element> {
     let mut el = Element {
-        name,
-        attributes,
+        name: name.to_string(),
+        attributes: attributes
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v.into_owned()))
+            .collect(),
         children: Vec::new(),
     };
     if self_closing {
@@ -150,7 +155,7 @@ fn build_element(
             }
             Event::Text(t) => match el.children.last_mut() {
                 Some(Node::Text(prev)) => prev.push_str(&t),
-                _ => el.children.push(Node::Text(t)),
+                _ => el.children.push(Node::Text(t.into_owned())),
             },
             Event::End { .. } => return Ok(el), // parser already verified the name
             Event::Eof => unreachable!("parser reports unclosed elements as errors"),
@@ -242,5 +247,18 @@ mod tests {
             seen += 1;
         }
         assert_eq!(seen, depth);
+    }
+
+    #[test]
+    fn a_million_levels_is_an_error_not_an_abort() {
+        let depth = 1_000_000;
+        let doc = format!("{}{}", "<d>".repeat(depth), "</d>".repeat(depth));
+        match Element::parse(&doc) {
+            Err(Error::Syntax { offset, message }) => {
+                assert_eq!(offset, 3 * crate::parser::MAX_DEPTH, "{message}");
+                assert!(message.contains("deeper than 1024"), "{message}");
+            }
+            other => panic!("expected a syntax error, got {other:?}"),
+        }
     }
 }

@@ -46,7 +46,7 @@ if [[ $fast -eq 0 ]]; then
     --metrics-out "$obs_dir/rank_metrics.json" >/dev/null
   "$mass" obs-validate --trace "$obs_dir/rank.jsonl" \
     --metrics "$obs_dir/rank_metrics.json" \
-    --expect-spans solver.solve,analysis.analyze,text.prepare \
+    --expect-spans xml.load,solver.solve,analysis.analyze,text.prepare \
     --expect-metrics solver.sweeps,solver.sweep_us,text.tokens_interned,text.vocab_size,text.classify_batch_us
 
   echo "== parallel determinism: rank at --threads 1 and 4 is byte-identical =="
@@ -89,11 +89,10 @@ if [[ $fast -eq 0 ]]; then
   echo "== release-only differential: streamed path bit-identical at 3k bloggers =="
   cargo test --release -q -p mass-core --test stream_differential -- --ignored
 
-  echo "== kernel knobs: rank artifact byte-identical across block sizes and fusion =="
-  # The CLI face of the §14 kernel contracts: blocked pull tiles and the
-  # fused prepare/solve path are pure scheduling choices, so the
-  # full-precision ranking artifact must not move by a byte under any
-  # --block-size or with --no-fuse.
+  echo "== kernel knobs: rank artifact byte-identical across block sizes =="
+  # The CLI face of the §14 kernel contract: blocked pull tiles are a pure
+  # scheduling choice, so the full-precision ranking artifact must not
+  # move by a byte under any --block-size.
   "$mass" rank --in "$obs_dir/golden.xml" --k 10 \
     --json-out "$obs_dir/kernel_base.json" >/dev/null
   for block in 16 4096 131072; do
@@ -101,9 +100,12 @@ if [[ $fast -eq 0 ]]; then
       --json-out "$obs_dir/kernel_block.json" >/dev/null
     cmp "$obs_dir/kernel_base.json" "$obs_dir/kernel_block.json"
   done
-  "$mass" rank --in "$obs_dir/golden.xml" --k 10 --no-fuse \
-    --json-out "$obs_dir/kernel_nofuse.json" >/dev/null
-  cmp "$obs_dir/kernel_base.json" "$obs_dir/kernel_nofuse.json"
+
+  echo "== release-only XML loader fuzz: streaming loader equals the DOM reference =="
+  # 20 000 seeded byte mutations of synthetic corpora: each must load to
+  # equal datasets through both loaders or fail in both, never panic. The
+  # debug suite runs a 500-mutation slice of the same fuzz.
+  cargo test --release -q -p mass-xml --test dataset_differential -- --ignored
 
   echo "== release-only kernel gate: X17 speedups and bit-identity =="
   # table_x17_kernel_speed asserts the fused solve is >=2x the pre-PR
