@@ -7,7 +7,8 @@
 //!   then `PreparedCorpus::build`; the classic path.
 //! * `stream` — sharded generation straight into the out-of-core merge
 //!   (`ingest_sharded_spilled`), corpus landing on disk; no XML, no
-//!   resident dataset, segments spilled past a fixed byte budget.
+//!   resident dataset, segments spilled past a fixed byte budget. Shards
+//!   build one per hardware thread; the artifact records the count.
 //!
 //! Peak RSS is the kernel's per-process high-water mark (`VmHWM`), which is
 //! unresettable — so every measurement runs in a **child process** (this
@@ -265,6 +266,10 @@ fn main() {
         ("spec".into(), Json::from("lean")),
         ("seed".into(), Json::from(4242u64)),
         ("spill_budget_bytes".into(), Json::from(SPILL_BUDGET as u64)),
+        (
+            "hardware_threads".into(),
+            Json::from(mass_par::available() as u64),
+        ),
         ("rows".into(), Json::Arr(json_rows)),
         ("bitwise_identical".into(), Json::Bool(true)),
         ("stream_rss_below_inmem".into(), Json::Bool(beats_inmem)),

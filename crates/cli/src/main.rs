@@ -39,7 +39,9 @@ COMMANDS:
                --zipf F  --planted N  --boost F  --posts-per-blogger F
                --time-span TICKS  --fading N  --rising N [temporal planting]
                --stream [ingest shard-by-shard, skipping XML]
-               --shards N (4)  --spill-budget BYTES [out-of-core merge]
+               --shards N (4)  --spill-budget BYTES [out-of-core merge;
+               bounds each building shard's and the finished segments'
+               arrays in memory]
                --out FILE [XML]  --records-out FILE [JSON lines]
   crawl        crawl a simulated host (or XML archive) and write the XML
                --bloggers N (200)  --seed N (42)   [synthetic host corpus]
@@ -114,6 +116,7 @@ COMMANDS:
 
 PARALLELISM (rank/recommend/search/report/user-study):
   --threads N   mass-par worker threads: 0 = all cores (default), 1 = serial.
+                A cap: kernels below their measured work floor run serial.
                 Scores are bit-identical at every setting.
 
 TELEMETRY (any command):

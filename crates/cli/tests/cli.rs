@@ -281,3 +281,33 @@ fn discover_runs_on_generated_corpus() {
     assert!(out.contains("discovered"));
     assert!(out.contains("top-2 per discovered domain"));
 }
+
+/// A spill that cannot be written is an error the CLI reports, not a
+/// panic: with the temp dir missing, streamed ingest fails cleanly both
+/// while shards build and at the out-of-core merge.
+#[test]
+fn unwritable_spill_dir_is_an_error_not_a_panic() {
+    let missing = std::env::temp_dir().join("mass_cli_blackbox_no_such_dir");
+    let _ = std::fs::remove_dir_all(&missing);
+    for spill_budget in ["1024", "0"] {
+        let o = Command::new(env!("CARGO_BIN_EXE_mass"))
+            .args([
+                "synth",
+                "--bloggers",
+                "2000",
+                "--lean",
+                "--stream",
+                "--shards",
+                "4",
+                "--spill-budget",
+                spill_budget,
+            ])
+            .env("TMPDIR", &missing)
+            .output()
+            .expect("binary runs");
+        let err = stderr(&o);
+        assert_eq!(o.status.code(), Some(1), "budget {spill_budget}: {err}");
+        assert!(err.contains("ingest: "), "budget {spill_budget}: {err}");
+        assert!(!err.contains("panicked"), "budget {spill_budget}: {err}");
+    }
+}

@@ -584,7 +584,13 @@ fn solve_prepared_impl(
     params.validate();
     let nb = ds.bloggers.len();
     let np = ds.posts.len();
-    let ex = mass_par::executor(params.threads);
+    let comments = match kernel {
+        SweepKernel::Fused(l) => l.f_off[np] as usize,
+        SweepKernel::Reference(inputs) => inputs.factors.iter().map(Vec::len).sum(),
+    };
+    // Below the solve floor the chunked sweep loses to the serial one
+    // (DESIGN.md §8); the span's `threads` reports the executor that ran.
+    let ex = mass_par::kernel_executor(params.threads, comments + np + nb, mass_par::floor::SOLVE);
     let _solve_span = mass_obs::span_with(
         "solver.solve",
         vec![

@@ -12,8 +12,13 @@
 //!   identical posterior bits;
 //! * the `f32` fast NB gather vs the exact path — every posterior entry
 //!   within [`NB_FAST_TOLERANCE`].
+//!
+//! The multi-threaded runs go through `without_work_floors`: these corpora
+//! sit below the kernels' work floors, where every thread count would take
+//! the serial path and the comparison would be serial against serial.
 
 use mass_core::{domain, InfluenceScores, MassAnalysis, MassParams};
+use mass_par::without_work_floors;
 use mass_synth::{CorpusSpec, CorpusStream};
 use mass_text::{NbPrecision, PreparedCorpus, NB_FAST_TOLERANCE};
 use mass_types::Dataset;
@@ -58,15 +63,20 @@ fn block_size_never_changes_analysis_bits() {
         },
     );
     for block in [16usize, 101, 1 << 17, usize::MAX] {
-        let blocked = MassAnalysis::analyze(
-            &ds,
-            &MassParams {
-                block_nodes: block,
-                ..MassParams::paper()
-            },
-        );
-        let what = format!("block_nodes {block} vs plain");
-        assert_scores_identical(&plain.scores, &blocked.scores, &what);
+        for threads in [1, 4] {
+            let blocked = without_work_floors(|| {
+                MassAnalysis::analyze(
+                    &ds,
+                    &MassParams {
+                        block_nodes: block,
+                        threads,
+                        ..MassParams::paper()
+                    },
+                )
+            });
+            let what = format!("block_nodes {block}, threads {threads} vs plain");
+            assert_scores_identical(&plain.scores, &blocked.scores, &what);
+        }
     }
 }
 
@@ -91,7 +101,9 @@ fn nb_fast_path_within_documented_tolerance() {
         bits(&reference),
         "exact flat batch vs per-document reference"
     );
-    let exact_mt = compiled.posterior_batch_prepared_flat_with(&prepared, 4, NbPrecision::Exact);
+    let exact_mt = without_work_floors(|| {
+        compiled.posterior_batch_prepared_flat_with(&prepared, 4, NbPrecision::Exact)
+    });
     assert_eq!(bits(&exact), bits(&exact_mt), "exact batch across threads");
 
     let fast = compiled.posterior_batch_prepared_flat_with(&prepared, 1, NbPrecision::Fast);

@@ -143,3 +143,42 @@ fn streamed_graph_and_counts_are_exact() {
         assert_eq!(streamed.stats.friend_edges(), want.edge_count());
     }
 }
+
+/// Segments stream their arrays to disk in blocks while they build, under
+/// the ingest's spill budget. Every budget — every block, a block per few
+/// posts, blocks on the largest shards only, never — gives the same corpus
+/// as the in-memory build, resident or spilled, at every shard and thread
+/// count. Budgets that differ only in when blocks stream also agree on the
+/// spill accounting.
+#[test]
+fn block_streaming_is_bit_identical_at_every_budget() {
+    const BUDGETS: [usize; 4] = [0, 1 << 10, 64 << 10, usize::MAX];
+    let stream = CorpusStream::new(CorpusSpec::sized(240, 19)).unwrap();
+    let reference = PreparedCorpus::build(&stream.materialize().dataset, 1);
+    for shards in SHARD_COUNTS {
+        for threads in [1, 2, 4] {
+            for spill_budget in BUDGETS {
+                let what = format!("shards {shards}, threads {threads}, budget {spill_budget}");
+                let opts = IngestOptions {
+                    shards,
+                    spill_budget,
+                    threads,
+                };
+                let resident = ingest_sharded(&stream, &opts).unwrap();
+                assert!(resident.corpus == reference, "{what}: resident merge");
+                let spilled = ingest_sharded_spilled(&stream, &opts).unwrap();
+                assert!(
+                    spilled.corpus.load().unwrap() == reference,
+                    "{what}: on-disk corpus"
+                );
+                assert_eq!(spilled.stats.shard_posts, resident.stats.shard_posts);
+                if spill_budget == 0 {
+                    assert_eq!(resident.stats.spill.segments_spilled, shards, "{what}");
+                }
+                if spill_budget == usize::MAX {
+                    assert_eq!(resident.stats.spill.segments_spilled, 0, "{what}");
+                }
+            }
+        }
+    }
+}

@@ -92,7 +92,11 @@ pub fn hits_csr(g: &LinkCsr, params: &HitsParams, warm_hub: Option<&[f64]>) -> H
             converged: true,
         };
     }
-    let ex = mass_par::executor(params.threads);
+    let ex = mass_par::kernel_executor(
+        params.threads,
+        n + g.edge_count(),
+        mass_par::floor::LINK_ANALYSIS,
+    );
     let mut auth = vec![uniform; n];
     let mut hub = match warm_hub {
         None => vec![uniform; n],

@@ -81,7 +81,11 @@ pub fn pagerank_csr(g: &LinkCsr, params: &PageRankParams, warm: Option<&[f64]>) 
         "damping must be in [0, 1), got {}",
         params.damping
     );
-    let ex = mass_par::executor(params.threads);
+    let ex = mass_par::kernel_executor(
+        params.threads,
+        n + g.edge_count(),
+        mass_par::floor::LINK_ANALYSIS,
+    );
     let d = params.damping;
     let uniform = 1.0 / n as f64;
     let mut rank = match warm {

@@ -6,6 +6,14 @@
 //! keyed by chunk index. Change these constants and every recorded
 //! reduction changes bits; they are part of the determinism contract
 //! (DESIGN.md §8).
+//!
+//! Two plans exist. [`ChunkPlan::for_len`] serves fine loops, whose
+//! elements cost nanoseconds: it batches them into at most 64 chunks and
+//! runs short lists inline. [`ChunkPlan::per_task`] serves coarse task
+//! lists (shards, corpus segments), whose elements each cost milliseconds:
+//! one chunk per element and no minimum length, so two tasks already use
+//! two threads. Task outputs are index-addressed, so neither plan can
+//! change a bit.
 
 use std::ops::Range;
 
@@ -30,6 +38,8 @@ pub struct ChunkPlan {
     len: usize,
     chunk_size: usize,
     chunks: usize,
+    /// One chunk per element of a coarse task list ([`ChunkPlan::per_task`]).
+    tasks: bool,
 }
 
 impl ChunkPlan {
@@ -40,6 +50,7 @@ impl ChunkPlan {
                 len: 0,
                 chunk_size: MIN_CHUNK,
                 chunks: 0,
+                tasks: false,
             };
         }
         let chunk_size = len.div_ceil(MAX_CHUNKS).max(MIN_CHUNK);
@@ -47,7 +58,24 @@ impl ChunkPlan {
             len,
             chunk_size,
             chunks: len.div_ceil(chunk_size),
+            tasks: false,
         }
+    }
+
+    /// The plan for a coarse task list of `len` elements: one chunk per
+    /// element, worth a pool from two tasks up.
+    pub fn per_task(len: usize) -> ChunkPlan {
+        ChunkPlan {
+            len,
+            chunk_size: 1,
+            chunks: len,
+            tasks: true,
+        }
+    }
+
+    /// Total elements covered.
+    pub(crate) fn len(&self) -> usize {
+        self.len
     }
 
     /// Number of chunks (0 only for empty input).
@@ -61,12 +89,13 @@ impl ChunkPlan {
     }
 
     /// Whether fanning this plan out to a pool can plausibly win: more
-    /// than one chunk *and* enough total work to amortise dispatch.
+    /// than one chunk *and* enough total work to amortise dispatch (any
+    /// two tasks of a [`per_task`](ChunkPlan::per_task) plan are).
     /// `Exec::for_each_chunk` runs non-worthwhile plans inline on the
     /// caller — same chunks, same order as `threads == 1`, so the output
     /// is bit-identical either way.
     pub fn parallel_worthwhile(&self) -> bool {
-        self.chunks > 1 && self.len >= MIN_PARALLEL_LEN
+        self.chunks > 1 && (self.tasks || self.len >= MIN_PARALLEL_LEN)
     }
 
     /// The element range of chunk `c`.
@@ -124,6 +153,20 @@ mod tests {
         // At the floor with multiple chunks the pool takes over.
         assert!(ChunkPlan::for_len(MIN_PARALLEL_LEN).parallel_worthwhile());
         assert!(ChunkPlan::for_len(1_000_000).parallel_worthwhile());
+    }
+
+    #[test]
+    fn task_plans_fan_out_from_two_tasks() {
+        assert_eq!(ChunkPlan::per_task(0).chunks(), 0);
+        assert!(!ChunkPlan::per_task(1).parallel_worthwhile());
+        for len in [2, 3, 63, 200] {
+            let plan = ChunkPlan::per_task(len);
+            assert_eq!(plan.chunks(), len);
+            assert!(plan.parallel_worthwhile(), "len {len}");
+            assert!((0..len).all(|c| plan.range(c) == (c..c + 1)));
+        }
+        // The fine-loop plan for the same short lists stays inline.
+        assert!(!ChunkPlan::for_len(2).parallel_worthwhile());
     }
 
     #[test]

@@ -19,10 +19,16 @@
 //! the differential harness (`tests/parallel_determinism.rs` at the
 //! workspace root) asserts the parallel paths reproduce it bit for bit.
 //!
+//! *Where* work runs is decided by its size, never by its bits: coarse
+//! task lists fan out from two tasks ([`Exec::par_tasks_collect`]), and a
+//! fine kernel whose work per pass is below its measured floor takes the
+//! serial path ([`kernel_executor`], [`floor`]).
+//!
 //! Like the `shim-*` crates, this is dependency-free by policy (the build
 //! environment has no crates.io access); the pool is built on
 //! `std::thread` + park/unpark only.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -298,6 +304,54 @@ pub fn executor(threads: usize) -> Exec<'static> {
     Exec::on(Pool::global(), resolve_threads(threads))
 }
 
+/// Work floors of the fine kernels, in the kernel's work units per pass.
+/// Below its floor a kernel's chunked loops lose to its serial loop, so
+/// [`kernel_executor`] hands it the serial executor. Each floor is the
+/// crossover measured on a 2-vCPU Xeon VM, 1 thread against auto (DESIGN.md
+/// §8, EXPERIMENTS.md "Thread policy"). Kernels without a floor (the NB
+/// batch) never measured slower at auto.
+pub mod floor {
+    /// One Jacobi sweep of the MASS solver: comments + posts + bloggers.
+    /// The chunked sweep was 2.0× slower than the serial one at 0.77M
+    /// units, 1.38× at 2.2M, and 6% faster at 4.4M.
+    pub const SOLVE: usize = 1 << 22;
+    /// One PageRank or HITS pull: nodes + edges. The chunked pull was
+    /// 1.24× slower at 16.6k units, 7% faster at 20.8k and 1.4× faster
+    /// at 29.8k.
+    pub const LINK_ANALYSIS: usize = 20_000;
+}
+
+thread_local! {
+    /// Set by [`without_work_floors`] for the scope of one closure.
+    static FLOORS_OFF: Cell<bool> = const { Cell::new(false) };
+}
+
+/// The executor for a fine kernel that does `work` units per pass: the
+/// serial executor below `floor`, else [`executor`]`(threads)`. A pure
+/// scheduling choice — the serial and chunked paths are bit-identical.
+pub fn kernel_executor(threads: usize, work: usize, floor: usize) -> Exec<'static> {
+    if work < floor && !FLOORS_OFF.with(Cell::get) {
+        Exec::serial()
+    } else {
+        executor(threads)
+    }
+}
+
+/// Runs `f` with every work floor at 0 on this thread, so kernels on small
+/// inputs take their chunked path. A test hook: the determinism suites use
+/// it to keep comparing the parallel path against the serial one.
+#[doc(hidden)]
+pub fn without_work_floors<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            FLOORS_OFF.with(|c| c.set(self.0));
+        }
+    }
+    let _restore = Restore(FLOORS_OFF.with(|c| c.replace(true)));
+    f()
+}
+
 impl<'p> Exec<'p> {
     /// An executor over an explicit pool (tests use private pools so panics
     /// and stress cannot leak across cases).
@@ -338,7 +392,14 @@ impl<'p> Exec<'p> {
     where
         F: Fn(usize, Range<usize>) + Sync,
     {
-        let plan = ChunkPlan::for_len(len);
+        self.run_plan(ChunkPlan::for_len(len), f);
+    }
+
+    /// Runs `f(chunk_index, element_range)` for every chunk of `plan`.
+    fn run_plan<F>(&self, plan: ChunkPlan, f: F)
+    where
+        F: Fn(usize, Range<usize>) + Sync,
+    {
         let pool = match self.pool {
             Some(pool) if plan.parallel_worthwhile() => pool,
             _ => {
@@ -355,7 +416,7 @@ impl<'p> Exec<'p> {
             mass_obs::span_with(
                 "par.region",
                 vec![
-                    mass_obs::field("len", len),
+                    mass_obs::field("len", plan.len()),
                     mass_obs::field("chunks", plan.chunks()),
                     mass_obs::field("threads", self.threads),
                 ],
@@ -412,10 +473,30 @@ impl<'p> Exec<'p> {
         U: Send,
         F: Fn(usize) -> U + Sync,
     {
+        self.collect_plan(ChunkPlan::for_len(len), len, f)
+    }
+
+    /// [`par_map_collect`](Exec::par_map_collect) for a coarse task list:
+    /// each `f(i)` carries milliseconds of work, so every element is its
+    /// own task and two of them already fan out ([`ChunkPlan::per_task`]).
+    /// Results land in index order, so the output is the serial one.
+    pub fn par_tasks_collect<U, F>(&self, len: usize, f: F) -> Vec<U>
+    where
+        U: Send,
+        F: Fn(usize) -> U + Sync,
+    {
+        self.collect_plan(ChunkPlan::per_task(len), len, f)
+    }
+
+    fn collect_plan<U, F>(&self, plan: ChunkPlan, len: usize, f: F) -> Vec<U>
+    where
+        U: Send,
+        F: Fn(usize) -> U + Sync,
+    {
         let mut out: Vec<std::mem::MaybeUninit<U>> = Vec::with_capacity(len);
         out.resize_with(len, std::mem::MaybeUninit::uninit);
         let slots = SendPtr(out.as_mut_ptr());
-        self.for_each_chunk(len, |_c, range| {
+        self.run_plan(plan, |_c, range| {
             let slots = &slots;
             for i in range {
                 // SAFETY: chunk ranges partition 0..len, so every slot is
@@ -862,6 +943,85 @@ mod tests {
             ex.par_fill_rows(&mut empty, 0, |_, _| unreachable!());
             ex.par_fill_rows(&mut empty, 3, |_, _| unreachable!());
         }
+    }
+
+    /// Blocks until `n` callers have arrived or `timeout` passes, and
+    /// returns whether all `n` arrived. A task list that ran inline on one
+    /// thread times out instead of deadlocking.
+    fn rendezvous(arrived: &(Mutex<usize>, Condvar), n: usize) -> bool {
+        let (count, cv) = arrived;
+        let mut count = count.lock().unwrap();
+        *count += 1;
+        cv.notify_all();
+        let (count, _) = cv
+            .wait_timeout_while(count, std::time::Duration::from_secs(20), |c| *c < n)
+            .unwrap();
+        *count >= n
+    }
+
+    #[test]
+    fn two_tasks_run_on_two_threads() {
+        // Each task waits for the other: only two threads can finish both
+        // without timing out. A fine-loop plan of two elements runs inline
+        // on the caller, so this fails on `par_map_collect`.
+        let pool = Pool::new(1);
+        let arrived = (Mutex::new(0usize), Condvar::new());
+        let out = Exec::on(&pool, 2).par_tasks_collect(2, |i| {
+            (i, rendezvous(&arrived, 2), std::thread::current().id())
+        });
+        assert_eq!(out.iter().map(|t| t.0).collect::<Vec<_>>(), [0, 1]);
+        assert!(out.iter().all(|t| t.1), "a task waited alone: {out:?}");
+        assert_ne!(out[0].2, out[1].2, "both tasks ran on one thread");
+    }
+
+    #[test]
+    fn task_lists_match_serial_and_propagate_panics() {
+        let pool = Pool::new(3);
+        for threads in [1, 2, 4] {
+            let ex = Exec::on(&pool, threads);
+            for len in [0usize, 1, 2, 5, 70] {
+                let got = ex.par_tasks_collect(len, |i| i * i + 1);
+                assert_eq!(got, (0..len).map(|i| i * i + 1).collect::<Vec<_>>());
+            }
+        }
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            Exec::on(&pool, 4).par_tasks_collect(3, |i| {
+                assert_ne!(i, 2, "task exploded");
+                i
+            })
+        }));
+        assert!(caught.is_err(), "a task panic must reach the caller");
+    }
+
+    #[test]
+    fn kernels_below_their_floor_run_serial() {
+        assert_eq!(kernel_executor(4, 99, 100).threads(), 1);
+        assert_eq!(kernel_executor(4, 100, 100).threads(), 4);
+        assert_eq!(kernel_executor(1, 1_000, 100).threads(), 1);
+        assert_eq!(kernel_executor(0, 100, 100).threads(), available());
+    }
+
+    #[test]
+    fn the_floor_hook_is_scoped_and_panic_safe() {
+        let threads = without_work_floors(|| kernel_executor(3, 0, floor::SOLVE).threads());
+        assert_eq!(threads, 3);
+        assert_eq!(kernel_executor(3, 0, floor::SOLVE).threads(), 1);
+        let _ = catch_unwind(|| without_work_floors(|| panic!("inside the hook")));
+        assert_eq!(
+            kernel_executor(3, 0, floor::SOLVE).threads(),
+            1,
+            "a panic left the floors off"
+        );
+        // Nested scopes restore the outer setting.
+        without_work_floors(|| {
+            without_work_floors(|| {});
+            assert_eq!(kernel_executor(3, 0, floor::SOLVE).threads(), 3);
+        });
+        // Thread-local: another thread keeps its floors.
+        without_work_floors(|| {
+            let other = std::thread::spawn(|| kernel_executor(3, 0, floor::SOLVE).threads());
+            assert_eq!(other.join().unwrap(), 1);
+        });
     }
 
     #[test]

@@ -7,25 +7,32 @@
 //! [`LinkCsr`] — shard by shard:
 //!
 //! * Shards are contiguous blogger ranges ([`crate::stream::shard_ranges`]),
-//!   generated **in parallel** via `mass-par` (order-preserving, exactly
-//!   once). Each shard makes a posts pass (tokenize + intern locally,
-//!   dropping each body as soon as it is tokenized) and a comments pass
-//!   (regenerating comment texts from their own RNG streams — nothing is
-//!   buffered between passes).
+//!   built **in parallel**: each wave of up to `threads` shards is a coarse
+//!   task list on `mass-par` ([`mass_par::Exec::par_tasks_collect`]), one
+//!   shard per thread, results in shard order. Each shard makes a posts
+//!   pass (tokenize + intern locally, dropping each body as soon as it is
+//!   tokenized) and a comments pass (regenerating comment texts from their
+//!   own RNG streams — nothing is buffered between passes).
 //! * Segments merge through [`ShardedCorpusBuilder`], whose result is
 //!   **bit-identical** to `PreparedCorpus::build` over the materialised
 //!   dataset — the differential suite in `mass-core` pins this at 600 and
-//!   3000 bloggers across thread and shard counts.
-//! * Past [`IngestOptions::spill_budget`] bytes, segment arrays spill to
-//!   temp files; [`ingest_sharded_spilled`] keeps even the *merged* corpus
-//!   on disk, so peak RSS is bounded by one shard regardless of corpus
+//!   3000 bloggers across thread, shard and spill-budget settings.
+//! * [`IngestOptions::spill_budget`] bounds the segment arrays in memory
+//!   twice over. A building shard streams its arrays to its spill file in
+//!   blocks whenever they exceed the budget, so each of the shards in
+//!   flight holds at most about the budget. Finished segments spill
+//!   whenever their resident total exceeds it. [`ingest_sharded_spilled`]
+//!   keeps even the *merged* corpus on disk, so peak RSS is bounded by
+//!   the merge of one segment plus the vocabulary, regardless of corpus
 //!   size (the X16 bench gates this at 1M bloggers).
+//! * A spill that fails (an unwritable temp dir, a full disk) is an
+//!   `io::Error` for the caller, never a panic.
 
-use crate::spec::ConfigError;
 use crate::stream::CorpusStream;
 use mass_graph::{CsrBuilder, LinkCsr};
 use mass_text::shard::{SegmentBuilder, ShardedCorpusBuilder, SpillStats, SpilledCorpus};
 use mass_text::PreparedCorpus;
+use std::io;
 
 /// Knobs for sharded ingest.
 #[derive(Clone, Copy, Debug)]
@@ -34,9 +41,10 @@ pub struct IngestOptions {
     /// per-shard working set and more parallelism).
     pub shards: usize,
     /// Resident-byte budget for segment arrays before spilling to temp
-    /// files (`usize::MAX` = never spill).
+    /// files, both per building shard and over the finished segments
+    /// (`usize::MAX` = never spill).
     pub spill_budget: usize,
-    /// Worker threads for shard generation (0 = auto).
+    /// Shards built at once, one per thread (0 = auto).
     pub threads: usize,
 }
 
@@ -117,8 +125,12 @@ struct ShardOutput {
     friend_edges: usize,
 }
 
-fn build_shard(stream: &CorpusStream, range: std::ops::Range<usize>) -> ShardOutput {
-    let mut seg = SegmentBuilder::new();
+fn build_shard(
+    stream: &CorpusStream,
+    range: std::ops::Range<usize>,
+    spill_budget: usize,
+) -> io::Result<ShardOutput> {
+    let mut seg = SegmentBuilder::new(spill_budget);
     let mut friends = CsrBuilder::new();
     let mut posts = 0usize;
     let mut comments = 0usize;
@@ -130,7 +142,7 @@ fn build_shard(stream: &CorpusStream, range: std::ops::Range<usize>) -> ShardOut
         let latent = stream.latent(i);
         for t in 0..stream.n_posts(i) {
             let content = stream.post_content(i, t, &latent);
-            seg.add_post(&content.title, &content.text);
+            seg.add_post(&content.title, &content.text)?;
             posts += 1;
         }
         let row: Vec<u32> = stream.friends(i).iter().map(|f| f.index() as u32).collect();
@@ -145,32 +157,33 @@ fn build_shard(stream: &CorpusStream, range: std::ops::Range<usize>) -> ShardOut
         for t in 0..stream.n_posts(i) {
             let cs = stream.post_comments(i, t, &latent);
             comments += cs.len();
-            seg.add_post_comments(cs.iter().map(|c| c.text.as_str()));
+            seg.add_post_comments(cs.iter().map(|c| c.text.as_str()))?;
         }
     }
-    ShardOutput {
-        segment: seg.finish(),
+    Ok(ShardOutput {
+        segment: seg.finish()?,
         friend_rows: friends.finish(),
         bloggers,
         posts,
         comments,
         friend_edges,
-    }
+    })
 }
 
 fn ingest_to_builder(
     stream: &CorpusStream,
     opts: &IngestOptions,
-) -> Result<(ShardedCorpusBuilder, LinkCsr, IngestStats), ConfigError> {
+) -> io::Result<(ShardedCorpusBuilder, LinkCsr, IngestStats)> {
     let shards = opts.shards.max(1);
     let ranges = stream.shard_ranges(shards);
     let ex = mass_par::executor(opts.threads);
-    // Shards are generated in waves of executor width: collecting every
-    // segment before merging would make peak memory linear in corpus size,
-    // while a wave keeps at most `width` segments resident (the budget then
-    // spills them as each wave lands). Wave boundaries cannot affect the
-    // result — segments are merged strictly in shard-index order either way.
-    let width = mass_par::resolve_threads(opts.threads).max(1);
+    // Shards are generated in waves of executor width, one shard per
+    // thread: collecting every segment before merging would make peak
+    // memory linear in corpus size, while a wave keeps at most `width`
+    // segments resident (the budget then spills them as each wave lands).
+    // Wave boundaries cannot affect the result — segments are merged
+    // strictly in shard-index order either way.
+    let width = ex.threads();
     let mut builder = ShardedCorpusBuilder::new(opts.spill_budget);
     let mut friend_builder = CsrBuilder::new();
     let mut stats = IngestStats::default();
@@ -178,15 +191,17 @@ fn ingest_to_builder(
     while next < shards {
         let wave = width.min(shards - next);
         let base = next;
-        let outputs: Vec<ShardOutput> =
-            ex.par_map_collect(wave, |k| build_shard(stream, ranges[base + k].clone()));
+        let outputs: Vec<io::Result<ShardOutput>> = ex.par_tasks_collect(wave, |k| {
+            build_shard(stream, ranges[base + k].clone(), opts.spill_budget)
+        });
         for (k, out) in outputs.into_iter().enumerate() {
+            let out = out?;
             stats.shard_bloggers.push(out.bloggers);
             stats.shard_posts.push(out.posts);
             stats.shard_comments.push(out.comments);
             stats.shard_friend_edges.push(out.friend_edges);
             friend_builder.append(&out.friend_rows);
-            builder.add_shard(base + k, out.segment);
+            builder.add_shard(base + k, out.segment)?;
         }
         next += wave;
     }
@@ -196,13 +211,12 @@ fn ingest_to_builder(
 }
 
 /// Ingests `stream` shard-by-shard into a resident [`StreamIngest`].
-pub fn ingest_sharded(
-    stream: &CorpusStream,
-    opts: &IngestOptions,
-) -> Result<StreamIngest, ConfigError> {
+/// Fails only if spilling a segment to the temp dir, or reading it back,
+/// fails.
+pub fn ingest_sharded(stream: &CorpusStream, opts: &IngestOptions) -> io::Result<StreamIngest> {
     let (builder, friends, mut stats) = ingest_to_builder(stream, opts)?;
     stats.spill = builder.stats();
-    let corpus = builder.finish();
+    let corpus = builder.finish()?;
     Ok(StreamIngest {
         corpus,
         friends,
@@ -211,15 +225,14 @@ pub fn ingest_sharded(
 }
 
 /// Ingests `stream` fully out-of-core: the merged corpus lands on disk and
-/// peak memory stays bounded by one shard plus the vocabulary.
+/// peak memory stays bounded by the shards in flight plus the vocabulary.
+/// Fails if any spill to the temp dir fails.
 pub fn ingest_sharded_spilled(
     stream: &CorpusStream,
     opts: &IngestOptions,
-) -> Result<SpilledStreamIngest, ConfigError> {
+) -> io::Result<SpilledStreamIngest> {
     let (builder, friends, mut stats) = ingest_to_builder(stream, opts)?;
-    let corpus = builder
-        .finish_spilled()
-        .expect("out-of-core merge writes to the temp dir");
+    let corpus = builder.finish_spilled()?;
     stats.spill = corpus.stats();
     Ok(SpilledStreamIngest {
         corpus,

@@ -141,6 +141,66 @@ impl PreparedCorpus {
         }
     }
 
+    /// Checks the layout invariants documented on the fields, so that
+    /// every accessor stays in bounds: each offset array starts at 0, is
+    /// monotone and ends at its data array's length; every body start lies
+    /// inside its document; the count and term arrays pair up; and every
+    /// term id is inside the vocabulary. For arrays read from outside the
+    /// process (a spill file); the builders construct valid layouts.
+    pub(crate) fn check_layout(&self) -> Result<(), String> {
+        fn offsets(name: &str, o: &[u32], rows: usize, data: usize) -> Result<(), String> {
+            if o.len() != rows + 1 {
+                return Err(format!("{name} has {} entries for {rows} rows", o.len()));
+            }
+            if o[0] != 0 || o[rows] as usize != data || o.windows(2).any(|w| w[0] > w[1]) {
+                return Err(format!(
+                    "{name} is not monotone from 0 to its data length {data}"
+                ));
+            }
+            Ok(())
+        }
+        let posts = self.text_starts.len();
+        let comments = self.comment_offsets.len().saturating_sub(1);
+        offsets(
+            "doc_offsets",
+            &self.doc_offsets,
+            posts,
+            self.doc_tokens.len(),
+        )?;
+        offsets("dt_offsets", &self.dt_offsets, posts, self.dt_terms.len())?;
+        offsets(
+            "comment_offsets",
+            &self.comment_offsets,
+            comments,
+            self.comment_tokens.len(),
+        )?;
+        offsets("comment_starts", &self.comment_starts, posts, comments)?;
+        if self.dt_counts.len() != self.dt_terms.len() {
+            return Err("dt_counts and dt_terms differ in length".into());
+        }
+        let body_outside = self
+            .text_starts
+            .iter()
+            .zip(self.doc_offsets.windows(2))
+            .any(|(&s, w)| s < w[0] || s > w[1]);
+        if body_outside {
+            return Err("a text start lies outside its document".into());
+        }
+        // A plain `u32::max` fold vectorises; these arrays hold millions
+        // of ids.
+        let vocab = self.interner.len();
+        let max_id = [&self.doc_tokens, &self.dt_terms, &self.comment_tokens]
+            .iter()
+            .filter_map(|ids| ids.iter().copied().reduce(u32::max))
+            .max();
+        match max_id {
+            Some(id) if id as usize >= vocab => Err(format!(
+                "term id {id} is outside the {vocab}-term vocabulary"
+            )),
+            _ => Ok(()),
+        }
+    }
+
     /// Tokenizes and interns every post and comment of `ds` once.
     ///
     /// Records the `text.prepare` span and the `text.tokens_interned` /
@@ -278,6 +338,12 @@ impl PreparedCorpus {
     pub fn doc_terms(&self, k: usize) -> (&[TermId], &[u32]) {
         let r = self.dt_offsets[k] as usize..self.dt_offsets[k + 1] as usize;
         (&self.dt_terms[r.clone()], &self.dt_counts[r])
+    }
+
+    /// Number of comments on post `k`.
+    #[cfg(test)]
+    pub(crate) fn comment_count(&self, k: usize) -> usize {
+        (self.comment_starts[k + 1] - self.comment_starts[k]) as usize
     }
 
     /// Tokens of comment `j` of post `k`, stopwords kept — the token stream

@@ -23,18 +23,23 @@
 //!    takes the shard index explicitly; segments may arrive in any order
 //!    (parallel producers) and are merged by index.
 //!
-//! Past a byte budget, segment arrays spill to temp files
-//! ([`ShardedCorpusBuilder::new`]'s `spill_budget`); only the small local
-//! vocabularies stay resident. [`finish`](ShardedCorpusBuilder::finish)
-//! returns a resident corpus, [`finish_spilled`](ShardedCorpusBuilder::finish_spilled)
-//! streams the merged arrays straight back to disk as a [`SpilledCorpus`],
-//! bounding peak memory by one segment regardless of corpus size.
+//! Past a byte budget, segment arrays spill to temp files; only the small
+//! local vocabularies stay resident. A [`SegmentBuilder`] given a budget
+//! ([`SegmentBuilder::new`]) streams its arrays to the segment's spill
+//! file in blocks while it builds, so a building shard holds about one
+//! budget of arrays; [`ShardedCorpusBuilder::new`]'s budget then bounds
+//! the finished segments resident at once.
+//! [`finish`](ShardedCorpusBuilder::finish) returns a resident corpus,
+//! [`finish_spilled`](ShardedCorpusBuilder::finish_spilled) streams the
+//! merged arrays straight back to disk as a [`SpilledCorpus`], bounding
+//! peak memory by one segment regardless of corpus size. Every spill
+//! failure is an `io::Error` for the caller, never a panic.
 
 use crate::intern::{Interner, TermId};
 use crate::prepared::{flatten, PreparedCorpus};
 use std::fs::{self, File};
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The nine `u32` arrays behind a [`PreparedCorpus`], in canonical (spill
@@ -73,6 +78,20 @@ impl ArraySet {
         self.as_refs().map(|a| a.len() as u64)
     }
 
+    fn as_muts(&mut self) -> [&mut Vec<u32>; ARRAY_COUNT] {
+        [
+            &mut self.doc_tokens,
+            &mut self.doc_offsets,
+            &mut self.text_starts,
+            &mut self.dt_terms,
+            &mut self.dt_counts,
+            &mut self.dt_offsets,
+            &mut self.comment_tokens,
+            &mut self.comment_offsets,
+            &mut self.comment_starts,
+        ]
+    }
+
     fn bytes(&self) -> usize {
         self.as_refs().iter().map(|a| a.len() * 4).sum()
     }
@@ -83,6 +102,12 @@ static SPILL_COUNTER: AtomicU64 = AtomicU64::new(0);
 fn fresh_spill_path(label: &str) -> PathBuf {
     let id = SPILL_COUNTER.fetch_add(1, Ordering::Relaxed);
     std::env::temp_dir().join(format!("mass-{label}-{}-{id}.bin", std::process::id()))
+}
+
+/// Creates a spill file, naming its path in any error.
+fn create_spill(path: &Path) -> io::Result<File> {
+    File::create(path)
+        .map_err(|e| io::Error::new(e.kind(), format!("spill file {}: {e}", path.display())))
 }
 
 /// An owned temp file that is deleted on drop.
@@ -111,6 +136,13 @@ fn write_u32s(w: &mut impl Write, data: &[u32]) -> io::Result<()> {
 
 fn read_u32s(r: &mut impl Read, len: usize) -> io::Result<Vec<u32>> {
     let mut out = Vec::with_capacity(len);
+    read_u32s_into(r, len, &mut out)?;
+    Ok(out)
+}
+
+/// Appends `len` LE `u32`s read from `r` to `out`.
+fn read_u32s_into(r: &mut impl Read, len: usize, out: &mut Vec<u32>) -> io::Result<()> {
+    out.reserve(len);
     let mut buf = [0u8; 4 * 4096];
     let mut remaining = len;
     while remaining > 0 {
@@ -123,19 +155,77 @@ fn read_u32s(r: &mut impl Read, len: usize) -> io::Result<Vec<u32>> {
         }
         remaining -= take;
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Where a segment's arrays currently live.
 #[derive(Debug)]
 enum SegmentStore {
     Resident(ArraySet),
-    /// Arrays on disk: the spill file plus each array's length (the file
-    /// stores the nine arrays back to back in canonical order, raw LE u32).
+    /// Arrays on disk as blocks appended back to back: each block holds
+    /// the nine arrays in canonical order (raw LE u32), and `blocks` keeps
+    /// each block's nine lengths. The blocks concatenate, array by array,
+    /// to the segment's arrays.
     Spilled {
         file: SpillFile,
-        lens: [u64; ARRAY_COUNT],
+        blocks: Vec<[u64; ARRAY_COUNT]>,
     },
+}
+
+impl SegmentStore {
+    /// Each array's total length.
+    fn lens(&self) -> [u64; ARRAY_COUNT] {
+        match self {
+            SegmentStore::Resident(a) => a.lens(),
+            SegmentStore::Spilled { blocks, .. } => {
+                let mut total = [0u64; ARRAY_COUNT];
+                for block in blocks {
+                    for (t, l) in total.iter_mut().zip(block) {
+                        *t += l;
+                    }
+                }
+                total
+            }
+        }
+    }
+}
+
+/// A segment spill file being appended to, one block at a time.
+#[derive(Debug)]
+struct BlockWriter {
+    file: SpillFile,
+    out: BufWriter<File>,
+    blocks: Vec<[u64; ARRAY_COUNT]>,
+}
+
+impl BlockWriter {
+    fn create() -> io::Result<BlockWriter> {
+        let file = SpillFile {
+            path: fresh_spill_path("segment"),
+        };
+        let out = BufWriter::new(create_spill(&file.path)?);
+        Ok(BlockWriter {
+            file,
+            out,
+            blocks: Vec::new(),
+        })
+    }
+
+    fn append(&mut self, arrays: &ArraySet) -> io::Result<()> {
+        for a in arrays.as_refs() {
+            write_u32s(&mut self.out, a)?;
+        }
+        self.blocks.push(arrays.lens());
+        Ok(())
+    }
+
+    fn finish(mut self) -> io::Result<SegmentStore> {
+        self.out.flush()?;
+        Ok(SegmentStore::Spilled {
+            file: self.file,
+            blocks: self.blocks,
+        })
+    }
 }
 
 /// One shard's tokenized, locally-interned slice of the corpus.
@@ -173,46 +263,44 @@ impl CorpusSegment {
         }
     }
 
+    /// Bytes of array data on disk (0 while resident).
+    fn spilled_bytes(&self) -> usize {
+        match &self.store {
+            SegmentStore::Resident(_) => 0,
+            SegmentStore::Spilled { .. } => self.store.lens().iter().sum::<u64>() as usize * 4,
+        }
+    }
+
     /// Moves the segment's arrays to a temp file, freeing their memory.
     /// No-op if already spilled.
     pub fn spill(&mut self) -> io::Result<usize> {
-        let arrays = match &mut self.store {
-            SegmentStore::Spilled { .. } => return Ok(0),
-            SegmentStore::Resident(a) => std::mem::take(a),
+        let SegmentStore::Resident(arrays) = &self.store else {
+            return Ok(0);
         };
+        let mut w = BlockWriter::create()?;
+        w.append(arrays)?;
         let bytes = arrays.bytes();
-        let file = SpillFile {
-            path: fresh_spill_path("segment"),
-        };
-        let mut w = BufWriter::new(File::create(&file.path)?);
-        for a in arrays.as_refs() {
-            write_u32s(&mut w, a)?;
-        }
-        w.flush()?;
-        self.store = SegmentStore::Spilled {
-            lens: arrays.lens(),
-            file,
-        };
+        self.store = w.finish()?;
         Ok(bytes)
     }
 
-    /// The segment's arrays, reading them back from disk if spilled.
+    /// The segment's arrays, reading its blocks back in order if spilled.
     fn load(&self) -> io::Result<ArraySet> {
         match &self.store {
             SegmentStore::Resident(a) => Ok(a.clone()),
-            SegmentStore::Spilled { file, lens } => {
+            SegmentStore::Spilled { file, blocks } => {
                 let mut r = BufReader::new(File::open(&file.path)?);
-                Ok(ArraySet {
-                    doc_tokens: read_u32s(&mut r, lens[0] as usize)?,
-                    doc_offsets: read_u32s(&mut r, lens[1] as usize)?,
-                    text_starts: read_u32s(&mut r, lens[2] as usize)?,
-                    dt_terms: read_u32s(&mut r, lens[3] as usize)?,
-                    dt_counts: read_u32s(&mut r, lens[4] as usize)?,
-                    dt_offsets: read_u32s(&mut r, lens[5] as usize)?,
-                    comment_tokens: read_u32s(&mut r, lens[6] as usize)?,
-                    comment_offsets: read_u32s(&mut r, lens[7] as usize)?,
-                    comment_starts: read_u32s(&mut r, lens[8] as usize)?,
-                })
+                let mut arrays = ArraySet::default();
+                let total = self.store.lens();
+                for (a, &len) in arrays.as_muts().into_iter().zip(&total) {
+                    a.reserve_exact(len as usize);
+                }
+                for block in blocks {
+                    for (a, &len) in arrays.as_muts().into_iter().zip(block) {
+                        read_u32s_into(&mut r, len as usize, a)?;
+                    }
+                }
+                Ok(arrays)
             }
         }
     }
@@ -225,18 +313,37 @@ impl CorpusSegment {
 /// [`seal_posts`](SegmentBuilder::seal_posts), then one
 /// [`add_post_comments`](SegmentBuilder::add_post_comments) per post (in
 /// post order), then [`finish`](SegmentBuilder::finish).
-#[derive(Debug, Default)]
+///
+/// Whenever the arrays exceed the spill budget, they are appended as one
+/// block to the segment's spill file and cleared, keeping their capacity.
+/// Offsets are kept relative to the segment through running bases, so the
+/// blocks concatenate to exactly the arrays an unbounded build holds. A
+/// segment streams iff its arrays total more than the budget — exactly
+/// the segments [`ShardedCorpusBuilder::add_shard`] would spill on
+/// arrival — so the spill accounting is the same either way.
+#[derive(Debug)]
 pub struct SegmentBuilder {
     vocab: Interner,
     post_vocab_len: Option<u32>,
     arrays: ArraySet,
+    /// Segment-relative positions of the arrays' first elements: the
+    /// lengths of `doc_tokens`, `dt_terms` and `comment_tokens` already
+    /// flushed to `spill`.
+    base_doc_tokens: usize,
+    base_dt: usize,
+    base_comment_tokens: usize,
+    posts: usize,
+    comments: usize,
     comment_posts: usize,
     row: Vec<u32>,
+    spill_budget: usize,
+    spill: Option<BlockWriter>,
 }
 
 impl SegmentBuilder {
-    /// An empty builder.
-    pub fn new() -> SegmentBuilder {
+    /// An empty builder that streams its arrays to a spill file whenever
+    /// they exceed `spill_budget` bytes (`usize::MAX` = never).
+    pub fn new(spill_budget: usize) -> SegmentBuilder {
         let mut arrays = ArraySet::default();
         arrays.doc_offsets.push(0);
         arrays.dt_offsets.push(0);
@@ -246,17 +353,49 @@ impl SegmentBuilder {
             vocab: Interner::with_capacity(256),
             post_vocab_len: None,
             arrays,
+            base_doc_tokens: 0,
+            base_dt: 0,
+            base_comment_tokens: 0,
+            posts: 0,
+            comments: 0,
             comment_posts: 0,
             row: Vec::new(),
+            spill_budget,
+            spill: None,
         }
     }
 
+    /// Appends the arrays to the spill file as one block and clears them,
+    /// advancing the running bases past what was written.
+    fn flush_block(&mut self) -> io::Result<()> {
+        let w = match &mut self.spill {
+            Some(w) => w,
+            None => self.spill.insert(BlockWriter::create()?),
+        };
+        w.append(&self.arrays)?;
+        let a = &mut self.arrays;
+        self.base_doc_tokens += a.doc_tokens.len();
+        self.base_dt += a.dt_terms.len();
+        self.base_comment_tokens += a.comment_tokens.len();
+        for v in a.as_muts() {
+            v.clear();
+        }
+        Ok(())
+    }
+
+    fn enforce_budget(&mut self) -> io::Result<()> {
+        if self.arrays.bytes() > self.spill_budget {
+            self.flush_block()?;
+        }
+        Ok(())
+    }
+
     /// Tokenizes and interns one post document (title + body), exactly as
-    /// the in-memory build does.
+    /// the in-memory build does. Fails only if a block flush fails.
     ///
     /// # Panics
     /// Panics if called after [`seal_posts`](SegmentBuilder::seal_posts).
-    pub fn add_post(&mut self, title: &str, text: &str) {
+    pub fn add_post(&mut self, title: &str, text: &str) -> io::Result<()> {
         assert!(
             self.post_vocab_len.is_none(),
             "add_post after seal_posts breaks the phase split"
@@ -267,8 +406,10 @@ impl SegmentBuilder {
         for tok in d.tokens() {
             a.doc_tokens.push(self.vocab.intern(tok));
         }
-        a.text_starts.push((start + d.title_count as usize) as u32);
-        a.doc_offsets.push(a.doc_tokens.len() as u32);
+        let base = self.base_doc_tokens;
+        a.text_starts
+            .push((base + start + d.title_count as usize) as u32);
+        a.doc_offsets.push((base + a.doc_tokens.len()) as u32);
         // Run-length encode the locally-sorted row; the merge re-sorts it
         // under global ids.
         self.row.clear();
@@ -285,7 +426,9 @@ impl SegmentBuilder {
             a.dt_counts.push((j - i) as u32);
             i = j;
         }
-        a.dt_offsets.push(a.dt_terms.len() as u32);
+        a.dt_offsets.push((self.base_dt + a.dt_terms.len()) as u32);
+        self.posts += 1;
+        self.enforce_budget()
     }
 
     /// Ends the post phase, recording how much local vocabulary it minted.
@@ -297,47 +440,60 @@ impl SegmentBuilder {
     /// Tokenizes the comments of the next post (stopwords kept). Must be
     /// called once per post added, in post order, after
     /// [`seal_posts`](SegmentBuilder::seal_posts); posts without comments
-    /// take an empty iterator.
-    pub fn add_post_comments<'a>(&mut self, texts: impl IntoIterator<Item = &'a str>) {
+    /// take an empty iterator. Fails only if a block flush fails.
+    pub fn add_post_comments<'a>(
+        &mut self,
+        texts: impl IntoIterator<Item = &'a str>,
+    ) -> io::Result<()> {
         assert!(
             self.post_vocab_len.is_some(),
             "add_post_comments before seal_posts breaks the phase split"
         );
         let a = &mut self.arrays;
-        let mut count = 0u32;
         for text in texts {
             let d = flatten(&[text], true);
             for tok in d.tokens() {
                 a.comment_tokens.push(self.vocab.intern(tok));
             }
-            a.comment_offsets.push(a.comment_tokens.len() as u32);
-            count += 1;
+            a.comment_offsets
+                .push((self.base_comment_tokens + a.comment_tokens.len()) as u32);
+            self.comments += 1;
         }
-        let prev = *a.comment_starts.last().expect("seeded with 0");
-        a.comment_starts.push(prev + count);
+        a.comment_starts.push(self.comments as u32);
         self.comment_posts += 1;
+        self.enforce_budget()
     }
 
-    /// Seals the segment.
+    /// Seals the segment. Once any block has streamed, the rest of the
+    /// arrays follow it and the segment arrives spilled. Fails if that
+    /// last flush fails.
     ///
     /// # Panics
     /// Panics unless [`seal_posts`](SegmentBuilder::seal_posts) ran and
     /// every post received its
     /// [`add_post_comments`](SegmentBuilder::add_post_comments) call.
-    pub fn finish(self) -> CorpusSegment {
+    pub fn finish(mut self) -> io::Result<CorpusSegment> {
         let post_vocab_len = self.post_vocab_len.expect("finish before seal_posts");
-        let posts = self.arrays.text_starts.len();
         assert_eq!(
-            self.comment_posts, posts,
+            self.comment_posts, self.posts,
             "every post needs an add_post_comments call"
         );
-        CorpusSegment {
+        let bytes = self.arrays.bytes();
+        let store = if self.spill.is_some() || bytes > self.spill_budget {
+            if bytes > 0 {
+                self.flush_block()?;
+            }
+            self.spill.take().expect("flushed above").finish()?
+        } else {
+            SegmentStore::Resident(self.arrays)
+        };
+        Ok(CorpusSegment {
             vocab: self.vocab,
             post_vocab_len,
-            posts,
-            comments: self.arrays.comment_offsets.len() - 1,
-            store: SegmentStore::Resident(self.arrays),
-        }
+            posts: self.posts,
+            comments: self.comments,
+            store,
+        })
     }
 }
 
@@ -375,15 +531,22 @@ impl ShardedCorpusBuilder {
     }
 
     /// Adds shard `index`'s segment. Indices must be unique and, at merge
-    /// time, form a dense `0..shards` range; arrival order is free.
-    pub fn add_shard(&mut self, index: usize, segment: CorpusSegment) {
+    /// time, form a dense `0..shards` range; arrival order is free. A
+    /// segment that streamed to disk while it was built counts as spilled
+    /// here, just as if this builder had spilled it on arrival. Fails if
+    /// spilling a segment to keep within the budget fails.
+    pub fn add_shard(&mut self, index: usize, segment: CorpusSegment) -> io::Result<()> {
         assert!(
             self.segments.iter().all(|(i, _)| *i != index),
             "shard {index} added twice"
         );
+        if let bytes @ 1.. = segment.spilled_bytes() {
+            self.stats.segments_spilled += 1;
+            self.stats.bytes_spilled += bytes;
+        }
         self.resident_bytes += segment.resident_bytes();
         self.segments.push((index, segment));
-        self.enforce_budget();
+        self.enforce_budget()
     }
 
     /// Spill accounting so far.
@@ -396,7 +559,7 @@ impl ShardedCorpusBuilder {
         self.resident_bytes
     }
 
-    fn enforce_budget(&mut self) {
+    fn enforce_budget(&mut self) -> io::Result<()> {
         while self.resident_bytes > self.spill_budget {
             // Spill the largest resident segment first: fewest files for the
             // most relief. Ties break on lowest index for determinism.
@@ -406,11 +569,12 @@ impl ShardedCorpusBuilder {
                 .filter(|(_, s)| s.resident_bytes() > 0)
                 .max_by_key(|(i, s)| (s.resident_bytes(), usize::MAX - *i));
             let Some((_, seg)) = victim else { break };
-            let freed = seg.spill().expect("spill to temp dir");
+            let freed = seg.spill()?;
             self.resident_bytes -= freed;
             self.stats.segments_spilled += 1;
             self.stats.bytes_spilled += freed;
         }
+        Ok(())
     }
 
     /// Sorts segments by shard index and validates density.
@@ -517,8 +681,9 @@ impl ShardedCorpusBuilder {
     }
 
     /// Merges all segments into a resident [`PreparedCorpus`], bit-identical
-    /// to [`PreparedCorpus::build`] over the same document stream.
-    pub fn finish(self) -> PreparedCorpus {
+    /// to [`PreparedCorpus::build`] over the same document stream. Fails if
+    /// a spilled segment cannot be read back.
+    pub fn finish(self) -> io::Result<PreparedCorpus> {
         let segments = self.ordered();
         let (global, remaps) = Self::merge_vocab(&segments);
         let mut merged: [Vec<u32>; ARRAY_COUNT] = Default::default();
@@ -529,14 +694,14 @@ impl ShardedCorpusBuilder {
         }
         let mut cursor = MergeCursor::default();
         for (seg, remap) in segments.iter().zip(&remaps) {
-            let arrays = seg.load().expect("read back spilled segment");
+            let arrays = seg.load()?;
             Self::emit_segment(&arrays, remap, &mut cursor, |idx, data| {
                 merged[idx].extend_from_slice(&data);
             });
         }
         let [doc_tokens, doc_offsets, text_starts, dt_terms, dt_counts, dt_offsets, comment_tokens, comment_offsets, comment_starts] =
             merged;
-        PreparedCorpus::from_parts(
+        Ok(PreparedCorpus::from_parts(
             global,
             doc_tokens,
             doc_offsets,
@@ -547,7 +712,7 @@ impl ShardedCorpusBuilder {
             comment_tokens,
             comment_offsets,
             comment_starts,
-        )
+        ))
     }
 
     /// Merges all segments straight to disk: peak memory is one segment's
@@ -572,10 +737,7 @@ impl ShardedCorpusBuilder {
             lens[i] = 1; // the restored leading 0
         }
         for seg in &segments {
-            let seg_lens = match &seg.store {
-                SegmentStore::Spilled { lens, .. } => *lens,
-                SegmentStore::Resident(a) => a.lens(),
-            };
+            let seg_lens = seg.store.lens();
             lens[0] += seg_lens[0];
             lens[1] += seg_lens[1] - 1;
             lens[2] += seg_lens[2];
@@ -589,7 +751,7 @@ impl ShardedCorpusBuilder {
         let file = SpillFile {
             path: fresh_spill_path("corpus"),
         };
-        let out = File::create(&file.path)?;
+        let out = create_spill(&file.path)?;
         let mut w = BufWriter::new(out);
         for &l in &lens {
             w.write_all(&l.to_le_bytes())?;
@@ -701,15 +863,36 @@ impl SpilledCorpus {
     }
 
     /// Reads the merged arrays back into a resident [`PreparedCorpus`].
+    ///
+    /// The file is not trusted: a header that differs from this handle's
+    /// lengths, a file whose size disagrees with its header, an offset
+    /// array that is not monotone or does not end at its data array's
+    /// length, or a term id outside the vocabulary is an
+    /// [`io::ErrorKind::InvalidData`] error, never a panic.
     pub fn load(&self) -> io::Result<PreparedCorpus> {
-        let mut r = BufReader::new(File::open(&self.file.path)?);
+        let file = File::open(&self.file.path)?;
+        let file_len = file.metadata()?.len();
+        let mut r = BufReader::new(file);
         let mut header = [0u8; ARRAY_COUNT * 8];
         r.read_exact(&mut header)?;
         let mut lens = [0u64; ARRAY_COUNT];
         for (i, l) in lens.iter_mut().enumerate() {
             *l = u64::from_le_bytes(header[i * 8..i * 8 + 8].try_into().unwrap());
         }
-        debug_assert_eq!(lens, self.lens);
+        if lens != self.lens {
+            return Err(invalid(format!(
+                "spill header lengths {lens:?} differ from the corpus's {:?}",
+                self.lens
+            )));
+        }
+        let needed = lens.iter().try_fold(header.len() as u64, |acc, &l| {
+            l.checked_mul(4).and_then(|bytes| acc.checked_add(bytes))
+        });
+        if needed != Some(file_len) {
+            return Err(invalid(format!(
+                "spill file is {file_len} bytes, its header needs {lens:?} u32s"
+            )));
+        }
         let mut arrays: Vec<Vec<u32>> = Vec::with_capacity(ARRAY_COUNT);
         for &l in &lens {
             arrays.push(read_u32s(&mut r, l as usize)?);
@@ -723,7 +906,7 @@ impl SpilledCorpus {
         let text_starts = arrays.pop().unwrap();
         let doc_offsets = arrays.pop().unwrap();
         let doc_tokens = arrays.pop().unwrap();
-        Ok(PreparedCorpus::from_parts(
+        let corpus = PreparedCorpus::from_parts(
             self.vocab.clone(),
             doc_tokens,
             doc_offsets,
@@ -734,8 +917,14 @@ impl SpilledCorpus {
             comment_tokens,
             comment_offsets,
             comment_starts,
-        ))
+        );
+        corpus.check_layout().map_err(invalid)?;
+        Ok(corpus)
     }
+}
+
+fn invalid(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
 #[cfg(test)]
@@ -746,15 +935,24 @@ mod tests {
     /// Builds a segment per blogger-range the same way streamed ingest does,
     /// from an in-memory dataset (posts grouped by author in order).
     fn segment_for_posts(ds: &Dataset, posts: std::ops::Range<usize>) -> CorpusSegment {
-        let mut b = SegmentBuilder::new();
+        segment_with_budget(ds, posts, usize::MAX)
+    }
+
+    fn segment_with_budget(
+        ds: &Dataset,
+        posts: std::ops::Range<usize>,
+        budget: usize,
+    ) -> CorpusSegment {
+        let mut b = SegmentBuilder::new(budget);
         for k in posts.clone() {
-            b.add_post(&ds.posts[k].title, &ds.posts[k].text);
+            b.add_post(&ds.posts[k].title, &ds.posts[k].text).unwrap();
         }
         b.seal_posts();
         for k in posts {
-            b.add_post_comments(ds.posts[k].comments.iter().map(|c| c.text.as_str()));
+            b.add_post_comments(ds.posts[k].comments.iter().map(|c| c.text.as_str()))
+                .unwrap();
         }
-        b.finish()
+        b.finish().unwrap()
     }
 
     fn sample(posts: usize) -> Dataset {
@@ -811,9 +1009,9 @@ mod tests {
         for shards in [1usize, 2, 3, 7, 40, 64] {
             let mut b = ShardedCorpusBuilder::new(usize::MAX);
             for (i, r) in split(ds.posts.len(), shards).into_iter().enumerate() {
-                b.add_shard(i, segment_for_posts(&ds, r));
+                b.add_shard(i, segment_for_posts(&ds, r)).unwrap();
             }
-            let got = b.finish();
+            let got = b.finish().unwrap();
             assert!(got == want, "mismatch at {shards} shards");
         }
     }
@@ -824,13 +1022,17 @@ mod tests {
         let ranges = split(ds.posts.len(), 5);
         let mut forward = ShardedCorpusBuilder::new(usize::MAX);
         for (i, r) in ranges.iter().enumerate() {
-            forward.add_shard(i, segment_for_posts(&ds, r.clone()));
+            forward
+                .add_shard(i, segment_for_posts(&ds, r.clone()))
+                .unwrap();
         }
         let mut backward = ShardedCorpusBuilder::new(usize::MAX);
         for (i, r) in ranges.iter().enumerate().rev() {
-            backward.add_shard(i, segment_for_posts(&ds, r.clone()));
+            backward
+                .add_shard(i, segment_for_posts(&ds, r.clone()))
+                .unwrap();
         }
-        assert!(forward.finish() == backward.finish());
+        assert!(forward.finish().unwrap() == backward.finish().unwrap());
     }
 
     #[test]
@@ -840,12 +1042,12 @@ mod tests {
         // Budget 0: every segment spills on arrival.
         let mut b = ShardedCorpusBuilder::new(0);
         for (i, r) in split(ds.posts.len(), 4).into_iter().enumerate() {
-            b.add_shard(i, segment_for_posts(&ds, r));
+            b.add_shard(i, segment_for_posts(&ds, r)).unwrap();
         }
         assert_eq!(b.stats().segments_spilled, 4);
         assert!(b.stats().bytes_spilled > 0);
         assert_eq!(b.resident_bytes(), 0);
-        assert!(b.finish() == want);
+        assert!(b.finish().unwrap() == want);
     }
 
     #[test]
@@ -855,7 +1057,7 @@ mod tests {
         for budget in [0usize, usize::MAX] {
             let mut b = ShardedCorpusBuilder::new(budget);
             for (i, r) in split(ds.posts.len(), 3).into_iter().enumerate() {
-                b.add_shard(i, segment_for_posts(&ds, r));
+                b.add_shard(i, segment_for_posts(&ds, r)).unwrap();
             }
             let spilled = b.finish_spilled().unwrap();
             assert_eq!(spilled.posts(), ds.posts.len());
@@ -879,6 +1081,66 @@ mod tests {
         assert!(path.exists());
         drop(seg);
         assert!(!path.exists(), "spill file leaked: {path:?}");
+        // A builder dropped mid-stream deletes its partial file too.
+        let mut b = SegmentBuilder::new(0);
+        b.add_post("t", "streamed body").unwrap();
+        let path = b.spill.as_ref().expect("streamed").file.path.clone();
+        assert!(path.exists());
+        drop(b);
+        assert!(!path.exists(), "partial spill file leaked: {path:?}");
+    }
+
+    #[test]
+    fn streamed_segments_equal_resident_ones() {
+        let ds = sample(60);
+        let n = ds.posts.len();
+        let resident = segment_for_posts(&ds, 0..n);
+        let want = resident.load().unwrap();
+        for budget in [0usize, 64, 1024, 4096, want.bytes() - 1] {
+            let seg = segment_with_budget(&ds, 0..n, budget);
+            let SegmentStore::Spilled { blocks, .. } = &seg.store else {
+                panic!("budget {budget} never streamed");
+            };
+            assert!(budget > 1024 || blocks.len() > 1, "budget {budget}");
+            assert_eq!(seg.posts(), resident.posts());
+            assert_eq!(seg.comments(), resident.comments());
+            assert_eq!(seg.spilled_bytes(), want.bytes());
+            assert_eq!(seg.load().unwrap(), want, "budget {budget}");
+        }
+        // At or above the segment's size it never streams.
+        for budget in [want.bytes(), usize::MAX] {
+            let seg = segment_with_budget(&ds, 0..n, budget);
+            assert_eq!(seg.resident_bytes(), want.bytes(), "budget {budget}");
+        }
+    }
+
+    #[test]
+    fn streaming_keeps_the_spill_accounting() {
+        // A segment that streams while it builds is counted exactly as the
+        // builder's own budget would have spilled it on arrival.
+        let ds = sample(90);
+        let ranges = split(ds.posts.len(), 5);
+        let want = PreparedCorpus::build(&ds, 1);
+        let bytes: Vec<usize> = ranges
+            .iter()
+            .map(|r| segment_for_posts(&ds, r.clone()).resident_bytes())
+            .collect();
+        let (lo, hi) = (*bytes.iter().min().unwrap(), *bytes.iter().max().unwrap());
+        for budget in [0, lo - 1, lo, (lo + hi) / 2, hi, 2 * hi, usize::MAX] {
+            let mut at_arrival = ShardedCorpusBuilder::new(budget);
+            let mut streamed = ShardedCorpusBuilder::new(budget);
+            for (i, r) in ranges.iter().enumerate() {
+                at_arrival
+                    .add_shard(i, segment_for_posts(&ds, r.clone()))
+                    .unwrap();
+                streamed
+                    .add_shard(i, segment_with_budget(&ds, r.clone(), budget))
+                    .unwrap();
+            }
+            assert_eq!(streamed.stats(), at_arrival.stats(), "budget {budget}");
+            assert_eq!(streamed.resident_bytes(), at_arrival.resident_bytes());
+            assert!(streamed.finish().unwrap() == want, "budget {budget}");
+        }
     }
 
     #[test]
@@ -886,11 +1148,123 @@ mod tests {
         let ds = sample(10);
         let want = PreparedCorpus::build(&ds, 1);
         let mut b = ShardedCorpusBuilder::new(usize::MAX);
-        b.add_shard(0, segment_for_posts(&ds, 0..10));
+        b.add_shard(0, segment_for_posts(&ds, 0..10)).unwrap();
         for i in 1..4 {
-            b.add_shard(i, segment_for_posts(&ds, 10..10));
+            b.add_shard(i, segment_for_posts(&ds, 10..10)).unwrap();
         }
-        assert!(b.finish() == want);
+        assert!(b.finish().unwrap() == want);
+    }
+
+    /// splitmix64: a seeded stream for the spill-file fuzz.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Truncates, flips or splices a spilled corpus file `cases` times.
+    /// Every load must give `Ok` with a corpus of the same shape whose
+    /// accessors all stay in bounds, or an `Err` — never a panic.
+    fn fuzz_spilled_load(cases: usize, seed: u64) {
+        let ds = sample(40);
+        let want = PreparedCorpus::build(&ds, 1);
+        let mut b = ShardedCorpusBuilder::new(usize::MAX);
+        for (i, r) in split(ds.posts.len(), 3).into_iter().enumerate() {
+            b.add_shard(i, segment_for_posts(&ds, r)).unwrap();
+        }
+        let spilled = b.finish_spilled().unwrap();
+        let path = spilled.file.path.clone();
+        let clean = fs::read(&path).unwrap();
+        let mut rng = seed;
+        let (mut ok, mut err) = (0usize, 0usize);
+        for case in 0..cases {
+            let mut bytes = clean.clone();
+            let at = next(&mut rng) as usize % bytes.len();
+            match next(&mut rng) % 4 {
+                0 => bytes.truncate(at),
+                1 => bytes[at] ^= 1 << (next(&mut rng) % 8),
+                2 => {
+                    // Overwrite a run with bytes from elsewhere in the file.
+                    let from = next(&mut rng) as usize % bytes.len();
+                    let len = 1 + next(&mut rng) as usize % 64;
+                    let n = len.min(bytes.len() - at).min(bytes.len() - from);
+                    bytes[at..at + n].copy_from_slice(&clean[from..from + n]);
+                }
+                _ => {
+                    // Insert a run copied from elsewhere.
+                    let from = next(&mut rng) as usize % bytes.len();
+                    let len = 1 + next(&mut rng) as usize % 64;
+                    let run: Vec<u8> = clean[from..(from + len).min(clean.len())].to_vec();
+                    bytes.splice(at..at, run);
+                }
+            }
+            fs::write(&path, &bytes).unwrap();
+            match spilled.load() {
+                Ok(got) => {
+                    ok += 1;
+                    assert_eq!(got.posts(), want.posts(), "case {case}");
+                    assert_eq!(got.total_tokens(), want.total_tokens(), "case {case}");
+                    assert_eq!(got.vocab_len(), want.vocab_len(), "case {case}");
+                    for k in 0..got.posts() {
+                        let _ = got.text_tokens(k);
+                        let (terms, counts) = got.doc_terms(k);
+                        assert_eq!(terms.len(), counts.len());
+                        for &t in got.doc_tokens(k).iter().chain(terms) {
+                            let _ = got.resolve(t);
+                        }
+                        for j in 0..got.comment_count(k) {
+                            for &t in got.comment_tokens(k, j) {
+                                let _ = got.resolve(t);
+                            }
+                        }
+                    }
+                }
+                Err(e) => {
+                    err += 1;
+                    assert!(
+                        matches!(
+                            e.kind(),
+                            io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof
+                        ),
+                        "case {case}: unexpected error kind {e:?}"
+                    );
+                }
+            }
+        }
+        fs::write(&path, &clean).unwrap();
+        assert!(spilled.load().unwrap() == want);
+        assert!(
+            ok > 0 && err > 0,
+            "fuzz never took both paths: {ok} ok, {err} err"
+        );
+    }
+
+    #[test]
+    fn corrupt_spill_files_are_errors_not_panics() {
+        fuzz_spilled_load(400, 17);
+    }
+
+    #[test]
+    #[ignore = "release-scale fuzz; run with --release -- --ignored"]
+    fn corrupt_spill_files_release_fuzz() {
+        fuzz_spilled_load(20_000, 2026);
+    }
+
+    #[test]
+    fn a_header_that_differs_from_the_handle_is_invalid_data() {
+        let ds = sample(12);
+        let mut b = ShardedCorpusBuilder::new(usize::MAX);
+        b.add_shard(0, segment_for_posts(&ds, 0..12)).unwrap();
+        let spilled = b.finish_spilled().unwrap();
+        let mut bytes = fs::read(&spilled.file.path).unwrap();
+        // A doc_tokens length of 2^62 u32s: unchecked, this reached
+        // `Vec::with_capacity` before any byte was read.
+        bytes[..8].copy_from_slice(&(1u64 << 62).to_le_bytes());
+        fs::write(&spilled.file.path, &bytes).unwrap();
+        let e = spilled.load().unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
     }
 
     #[test]
@@ -898,24 +1272,24 @@ mod tests {
     fn duplicate_shard_index_rejected() {
         let ds = sample(4);
         let mut b = ShardedCorpusBuilder::new(usize::MAX);
-        b.add_shard(0, segment_for_posts(&ds, 0..2));
-        b.add_shard(0, segment_for_posts(&ds, 2..4));
+        b.add_shard(0, segment_for_posts(&ds, 0..2)).unwrap();
+        let _ = b.add_shard(0, segment_for_posts(&ds, 2..4));
     }
 
     #[test]
     #[should_panic(expected = "phase split")]
     fn post_after_seal_rejected() {
-        let mut b = SegmentBuilder::new();
-        b.add_post("t", "x");
+        let mut b = SegmentBuilder::new(usize::MAX);
+        b.add_post("t", "x").unwrap();
         b.seal_posts();
-        b.add_post("t2", "y");
+        let _ = b.add_post("t2", "y");
     }
 
     #[test]
     #[should_panic(expected = "add_post_comments")]
     fn finish_requires_comment_calls() {
-        let mut b = SegmentBuilder::new();
-        b.add_post("t", "x");
+        let mut b = SegmentBuilder::new(usize::MAX);
+        b.add_post("t", "x").unwrap();
         b.seal_posts();
         let _ = b.finish();
     }

@@ -56,6 +56,19 @@ if [[ $fast -eq 0 ]]; then
     --json-out "$obs_dir/rank_t4.json" >/dev/null
   cmp "$obs_dir/rank_t1.json" "$obs_dir/rank_t4.json"
 
+  echo "== thread policy: a corpus above the link-analysis floor is byte-identical at --threads 1 and 4 =="
+  # The 30-blogger crawl above is below every work floor, so both runs
+  # take the serial kernels. 8 000 streamed-spec bloggers put PageRank
+  # (nodes + edges) above mass_par::floor::LINK_ANALYSIS, so --threads 4
+  # runs the chunked pull against the serial one. The solve floor (~4.2M
+  # work units, ~600k bloggers) is too large for a CI step; the
+  # determinism suite covers the chunked solve under its test hook.
+  "$mass" rank --synth 8000 --synth-seed 3 --k 10 --threads 1 \
+    --json-out "$obs_dir/policy_t1.json" >/dev/null
+  "$mass" rank --synth 8000 --synth-seed 3 --k 10 --threads 4 \
+    --json-out "$obs_dir/policy_t4.json" >/dev/null
+  cmp "$obs_dir/policy_t1.json" "$obs_dir/policy_t4.json"
+
   echo "== golden artifact: rank output matches the committed fixture =="
   # Guards the whole numeric pipeline against silent drift: same seed, same
   # scores, byte for byte. Regenerate deliberately (and review the diff)
@@ -74,6 +87,24 @@ if [[ $fast -eq 0 ]]; then
   "$mass" rank --synth 600 --synth-seed 11 --k 10 --stream --shards 16 \
     --json-out "$obs_dir/stream_shard.json" >/dev/null 2>&1
   cmp "$obs_dir/stream_mem.json" "$obs_dir/stream_shard.json"
+
+  echo "== streaming ingest: 16 shards built in parallel equal a serial build, byte for byte =="
+  # Shards are coarse tasks (DESIGN.md §8): at --threads 4 they build four
+  # at a time, at --threads 1 one after another.
+  "$mass" rank --synth 600 --synth-seed 11 --k 10 --stream --shards 16 --threads 1 \
+    --json-out "$obs_dir/stream_t1.json" >/dev/null 2>&1
+  "$mass" rank --synth 600 --synth-seed 11 --k 10 --stream --shards 16 --threads 4 \
+    --json-out "$obs_dir/stream_t4.json" >/dev/null 2>&1
+  cmp "$obs_dir/stream_t1.json" "$obs_dir/stream_t4.json"
+
+  echo "== streaming ingest: an unwritable spill dir is an error, not a panic =="
+  set +e
+  spill_err="$(TMPDIR="$obs_dir/no_such_dir" "$mass" synth --bloggers 2000 --lean \
+    --stream --shards 4 --spill-budget 1024 2>&1 >/dev/null)"
+  spill_status=$?
+  set -e
+  [[ $spill_status -eq 1 && "$spill_err" == *"ingest: "* && "$spill_err" != *panicked* ]] || {
+    echo "unwritable TMPDIR: want exit 1 with an ingest error, got $spill_status: $spill_err"; exit 1; }
 
   echo "== streaming golden: generator records match the committed fixture =="
   "$mass" synth --bloggers 64 --seed 7 \

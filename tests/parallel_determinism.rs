@@ -6,9 +6,15 @@
 //! serial path), 2, 3, and 8, and demands *bit-for-bit* equality: not
 //! approximate equality, `f64::to_bits` equality, on randomized synthetic
 //! corpora.
+//!
+//! These corpora are far below every kernel's work floor, where each
+//! thread count takes the serial path. So the parallel sides run under
+//! [`without_work_floors`], which sends every kernel through its chunked
+//! path; `the_floor_hook_reaches_the_pool` proves the hook does.
 
 use mass::core::{GlProvider, InfluenceScores, IvSource, MassAnalysis, MassParams};
 use mass::graph::{hits, pagerank, DiGraph, HitsParams, PageRankParams};
+use mass::par::without_work_floors;
 use mass::synth::{generate, SynthConfig};
 use mass::types::DomainId;
 
@@ -59,13 +65,15 @@ fn analysis_is_bit_identical_across_thread_counts() {
             },
         );
         for threads in THREADS {
-            let par = MassAnalysis::analyze(
-                &ds,
-                &MassParams {
-                    threads,
-                    ..MassParams::paper()
-                },
-            );
+            let par = without_work_floors(|| {
+                MassAnalysis::analyze(
+                    &ds,
+                    &MassParams {
+                        threads,
+                        ..MassParams::paper()
+                    },
+                )
+            });
             let what = format!("seed {seed}, threads {threads}");
             assert_scores_identical(&serial.scores, &par.scores, &what);
             for (k, (a, b)) in serial.iv.iter().zip(&par.iv).enumerate() {
@@ -101,13 +109,15 @@ fn top_k_rankings_are_thread_count_invariant() {
         },
     );
     for threads in THREADS {
-        let par = MassAnalysis::analyze(
-            &ds,
-            &MassParams {
-                threads,
-                ..MassParams::paper()
-            },
-        );
+        let par = without_work_floors(|| {
+            MassAnalysis::analyze(
+                &ds,
+                &MassParams {
+                    threads,
+                    ..MassParams::paper()
+                },
+            )
+        });
         assert_eq!(
             serial.top_k_general(10),
             par.top_k_general(10),
@@ -147,14 +157,16 @@ fn every_gl_provider_is_thread_count_invariant() {
             },
         );
         for threads in THREADS {
-            let par = MassAnalysis::analyze(
-                &ds,
-                &MassParams {
-                    gl,
-                    threads,
-                    ..MassParams::paper()
-                },
-            );
+            let par = without_work_floors(|| {
+                MassAnalysis::analyze(
+                    &ds,
+                    &MassParams {
+                        gl,
+                        threads,
+                        ..MassParams::paper()
+                    },
+                )
+            });
             assert_eq!(
                 bits(&serial.scores.gl),
                 bits(&par.scores.gl),
@@ -187,7 +199,8 @@ fn oracle_iv_analysis_is_invariant() {
     };
     let serial = mk(1);
     for threads in THREADS {
-        assert_scores_identical(&serial.scores, &mk(threads).scores, "oracle iv");
+        let par = without_work_floors(|| mk(threads));
+        assert_scores_identical(&serial.scores, &par.scores, "oracle iv");
     }
 }
 
@@ -215,26 +228,30 @@ fn raw_graph_algorithms_are_invariant() {
     let pr1 = pagerank(&g, &PageRankParams::default());
     let h1 = hits(&g, &HitsParams::default());
     for threads in THREADS {
-        let pr = pagerank(
-            &g,
-            &PageRankParams {
-                threads,
-                ..Default::default()
-            },
-        );
+        let pr = without_work_floors(|| {
+            pagerank(
+                &g,
+                &PageRankParams {
+                    threads,
+                    ..Default::default()
+                },
+            )
+        });
         assert_eq!(
             bits(&pr1.scores),
             bits(&pr.scores),
             "pagerank, threads={threads}"
         );
         assert_eq!(pr1.iterations, pr.iterations);
-        let h = hits(
-            &g,
-            &HitsParams {
-                threads,
-                ..Default::default()
-            },
-        );
+        let h = without_work_floors(|| {
+            hits(
+                &g,
+                &HitsParams {
+                    threads,
+                    ..Default::default()
+                },
+            )
+        });
         assert_eq!(
             bits(&h1.authority),
             bits(&h.authority),
@@ -263,7 +280,7 @@ fn nb_posterior_batch_matches_serial_calls() {
         .collect();
     let one_by_one: Vec<Vec<f64>> = docs.iter().map(|d| model.posterior(d)).collect();
     for threads in THREADS {
-        let batch = model.posterior_batch(&docs, threads);
+        let batch = without_work_floors(|| model.posterior_batch(&docs, threads));
         assert_eq!(batch.len(), one_by_one.len());
         for (k, (a, b)) in one_by_one.iter().zip(&batch).enumerate() {
             assert_eq!(
@@ -273,6 +290,69 @@ fn nb_posterior_batch_matches_serial_calls() {
             );
         }
     }
+}
+
+/// Spans named `par.region` that `f` opened on this thread: one per region
+/// that ran on the pool (a region that runs inline opens none).
+fn pool_regions(f: impl FnOnce()) -> usize {
+    mass::obs::begin_capture();
+    f();
+    let spans = mass::obs::end_capture();
+    spans.iter().filter(|s| s.name == "par.region").count()
+}
+
+/// The hook is what keeps the tests above comparing two different paths:
+/// under it, a small solve and PageRank enter the pool; without it, the
+/// floors keep them serial at every thread count.
+#[test]
+fn the_floor_hook_reaches_the_pool() {
+    use mass::core::{solve_prepared_with_layout, SolverInputs, SweepLayout};
+    use mass::graph::{pagerank_csr, LinkCsr};
+    let ds = generate(&SynthConfig {
+        bloggers: 90,
+        seed: 3,
+        ..Default::default()
+    })
+    .dataset;
+    let params = MassParams {
+        threads: 2,
+        ..MassParams::paper()
+    };
+    let inputs = SolverInputs::build(&ds, &ds.index(), &params);
+    let layout = SweepLayout::build(&ds, &inputs);
+    let solve = || {
+        solve_prepared_with_layout(&ds, &layout, &params, None);
+    };
+    assert!(pool_regions(|| without_work_floors(solve)) > 0);
+    assert_eq!(pool_regions(solve), 0, "a 90-blogger solve left the caller");
+
+    let link = LinkCsr::from_digraph(&mass::core::gl_graph(&ds, &params));
+    let pr_params = PageRankParams {
+        threads: 2,
+        ..Default::default()
+    };
+    let rank = || {
+        pagerank_csr(&link, &pr_params, None);
+    };
+    assert!(pool_regions(|| without_work_floors(rank)) > 0);
+    assert_eq!(pool_regions(rank), 0, "a 90-node PageRank left the caller");
+}
+
+/// Shards are coarse tasks: a wave of two shards at two threads enters the
+/// pool instead of running inline on the caller.
+#[test]
+fn sharded_ingest_fans_out_its_shards() {
+    use mass::synth::{ingest_sharded, CorpusSpec, CorpusStream, IngestOptions};
+    let stream = CorpusStream::new(CorpusSpec::sized(40, 5)).unwrap();
+    let opts = IngestOptions {
+        shards: 2,
+        threads: 2,
+        ..Default::default()
+    };
+    let regions = pool_regions(|| {
+        ingest_sharded(&stream, &opts).unwrap();
+    });
+    assert_eq!(regions, 1, "one wave of two shards is one pool region");
 }
 
 /// Sharded corpus generation fans out per shard; the ingested corpus, the
