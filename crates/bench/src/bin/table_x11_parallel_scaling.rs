@@ -7,21 +7,25 @@
 //! Every parallel run's scores are compared bit-for-bit against the serial
 //! run — a speedup that changes the answer is a bug, not a result.
 //!
-//! Two corpora: one below the solve's work floor (`mass_par::floor::SOLVE`,
-//! comments + posts + bloggers), where every thread count takes the serial
-//! path, and one above it, where the chunked sweeps run. Two gates:
+//! The default run times the 800-blogger corpus, below the solve's work
+//! floor (`mass_par::floor::SOLVE`, comments + posts + bloggers), where
+//! every thread count takes the serial path. `MASS_BENCH_SCALE=paper` also
+//! streams a 600 000-blogger corpus just above the floor, where the chunked
+//! sweeps run; it needs ~2 GB resident. Two gates:
 //!
 //! * **policy** (every corpus, every host): `threads N` is no slower than
 //!   `threads 1` beyond noise, for every N up to the hardware threads.
 //!   Noise is the larger of 10% and the serial runs' relative IQR.
-//! * **scaling** (the corpus above the floor): ≥1.5× speedup at 4 threads,
-//!   enforced only when the machine has 4 hardware threads — on smaller
-//!   hosts the oversubscribed pool can only add overhead.
+//! * **scaling** (the corpus above the floor, so `paper` only): ≥1.5×
+//!   speedup at 4 threads, enforced only when the machine has 4 hardware
+//!   threads — on smaller hosts the oversubscribed pool can only add
+//!   overhead.
 //!
 //! Writes the measurements to `BENCH_X11.json`.
 //!
 //! ```sh
 //! cargo run --release -p mass-bench --bin table_x11_parallel_scaling
+//! MASS_BENCH_SCALE=paper cargo run --release -p mass-bench --bin table_x11_parallel_scaling
 //! ```
 
 use mass_bench::{banner, corpus_of};
@@ -100,19 +104,18 @@ fn main() {
     banner(
         "X11",
         "parallel scaling and the thread policy",
-        "solve_prepared wall time at 1/2/4/8 threads below and above the solve floor, \
-         scores bit-compared to serial",
+        "solve_prepared wall time at 1/2/4/8 threads below the solve floor (and above it \
+         under MASS_BENCH_SCALE=paper), scores bit-compared to serial",
     );
 
     // The small corpus is the historical 800-blogger one; the large one is
     // streamed (generation is O(1) per blogger) and holds ~4.4M work units,
-    // just above the floor. `MASS_BENCH_SCALE=quick` runs the small one
-    // only.
-    let quick = matches!(std::env::var("MASS_BENCH_SCALE").as_deref(), Ok("quick"));
+    // just above the floor.
+    let paper = matches!(std::env::var("MASS_BENCH_SCALE").as_deref(), Ok("paper"));
     let hw = mass_par::available();
     let floor = mass_par::floor::SOLVE;
     let mut rows = vec![measure(&corpus_of(800, 42).dataset, 31)];
-    if !quick {
+    if paper {
         let large = CorpusStream::new(CorpusSpec::sized(LARGE_BLOGGERS, 42))
             .expect("the sized spec validates")
             .materialize()
@@ -164,7 +167,7 @@ fn main() {
     }
     let above: Vec<&Row> = rows.iter().filter(|r| r.work >= floor).collect();
     assert!(
-        quick || !above.is_empty(),
+        !paper || !above.is_empty(),
         "no corpus reaches the solve floor"
     );
 
@@ -225,8 +228,9 @@ fn main() {
             );
         }
         _ => println!(
-            "shape SKIPPED: 4-thread speedup needs a corpus above the solve floor and 4 \
-             hardware threads ({hw} here); determinism was still verified bit-for-bit"
+            "shape SKIPPED: 4-thread speedup needs a corpus above the solve floor \
+             (MASS_BENCH_SCALE=paper) and 4 hardware threads ({hw} here); determinism \
+             was still verified bit-for-bit"
         ),
     }
     if !ok {

@@ -1333,17 +1333,21 @@ mod tests {
         let mut outputs = Vec::new();
         for threads in ["1", "2", "4", "8"] {
             let json_path = tmp(&format!("rank_t{threads}.json"));
-            rank(&args(&[
-                "rank",
-                "--in",
-                &path,
-                "--k",
-                "10",
-                "--threads",
-                threads,
-                "--json-out",
-                &json_path,
-            ]))
+            // Floors off: a 50-blogger corpus would otherwise solve and rank
+            // serially at every --threads.
+            mass_par::without_work_floors(|| {
+                rank(&args(&[
+                    "rank",
+                    "--in",
+                    &path,
+                    "--k",
+                    "10",
+                    "--threads",
+                    threads,
+                    "--json-out",
+                    &json_path,
+                ]))
+            })
             .unwrap();
             outputs.push(std::fs::read(&json_path).unwrap());
         }

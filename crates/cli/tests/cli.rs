@@ -284,12 +284,14 @@ fn discover_runs_on_generated_corpus() {
 
 /// A spill that cannot be written is an error the CLI reports, not a
 /// panic: with the temp dir missing, streamed ingest fails cleanly both
-/// while shards build and at the out-of-core merge.
+/// while shards build (budgets 1024 and 0: the first block flush inside a
+/// shard fails) and at the out-of-core merge (a budget above every
+/// segment: shards stay resident until `finish_spilled` spills them).
 #[test]
 fn unwritable_spill_dir_is_an_error_not_a_panic() {
     let missing = std::env::temp_dir().join("mass_cli_blackbox_no_such_dir");
     let _ = std::fs::remove_dir_all(&missing);
-    for spill_budget in ["1024", "0"] {
+    for spill_budget in ["1024", "0", "1000000000"] {
         let o = Command::new(env!("CARGO_BIN_EXE_mass"))
             .args([
                 "synth",

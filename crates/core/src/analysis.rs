@@ -174,9 +174,15 @@ mod tests {
                 threads,
                 ..MassParams::paper()
             };
-            let a = MassAnalysis::analyze(ds, &params);
-            let legacy_scores = solve(ds, &ds.index(), &params);
-            let legacy_iv = iv_vectors(ds, &params);
+            // Floors off, so threads 4 runs the chunked kernels on this
+            // tiny corpus.
+            let (a, legacy_scores, legacy_iv) = mass_par::without_work_floors(|| {
+                (
+                    MassAnalysis::analyze(ds, &params),
+                    solve(ds, &ds.index(), &params),
+                    iv_vectors(ds, &params),
+                )
+            });
             assert_eq!(
                 a.scores
                     .blogger

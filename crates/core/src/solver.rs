@@ -1514,8 +1514,14 @@ mod tests {
                         ..base.clone()
                     };
                     for seed_vec in [None, Some(warm.as_slice())] {
-                        let fast = solve_prepared(ds, &inputs, &params, seed_vec);
-                        let slow = solve_prepared_reference(ds, &inputs, &params, seed_vec);
+                        // Floors off: on a tiny corpus every thread count
+                        // would otherwise take the serial sweep.
+                        let (fast, slow) = mass_par::without_work_floors(|| {
+                            (
+                                solve_prepared(ds, &inputs, &params, seed_vec),
+                                solve_prepared_reference(ds, &inputs, &params, seed_vec),
+                            )
+                        });
                         let ctx =
                             format!("seed={seed} threads={threads} warm={}", seed_vec.is_some());
                         assert_eq!(fast.iterations, slow.iterations, "{ctx}");
@@ -1585,8 +1591,12 @@ mod tests {
                 ..base.clone()
             };
             for seed_vec in [None, Some(warm.as_slice())] {
-                let per_call = solve_prepared(ds, &inputs, &params, seed_vec);
-                let prebuilt = solve_prepared_with_layout(ds, &layout, &params, seed_vec);
+                let (per_call, prebuilt) = mass_par::without_work_floors(|| {
+                    (
+                        solve_prepared(ds, &inputs, &params, seed_vec),
+                        solve_prepared_with_layout(ds, &layout, &params, seed_vec),
+                    )
+                });
                 assert_eq!(
                     per_call,
                     prebuilt,
@@ -1627,10 +1637,14 @@ mod tests {
                 threads,
                 ..base.clone()
             };
-            let fast = solve_prepared(ds, &inputs, &params, None);
-            let slow = solve_prepared_reference(ds, &inputs, &params, None);
+            let (fast, slow, prebuilt) = mass_par::without_work_floors(|| {
+                (
+                    solve_prepared(ds, &inputs, &params, None),
+                    solve_prepared_reference(ds, &inputs, &params, None),
+                    solve_prepared_with_layout(ds, &layout, &params, None),
+                )
+            });
             assert_eq!(fast, slow, "threads={threads}");
-            let prebuilt = solve_prepared_with_layout(ds, &layout, &params, None);
             assert_eq!(fast, prebuilt, "threads={threads} prebuilt");
         }
     }

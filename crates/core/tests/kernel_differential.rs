@@ -13,9 +13,10 @@
 //! * the `f32` fast NB gather vs the exact path — every posterior entry
 //!   within [`NB_FAST_TOLERANCE`].
 //!
-//! The multi-threaded runs go through `without_work_floors`: these corpora
-//! sit below the kernels' work floors, where every thread count would take
-//! the serial path and the comparison would be serial against serial.
+//! The multi-threaded analyses go through `without_work_floors`: these
+//! corpora sit below the solve and link-analysis work floors, where every
+//! thread count would take the serial path and the comparison would be
+//! serial against serial. The NB batch has no floor and needs no hook.
 
 use mass_core::{domain, InfluenceScores, MassAnalysis, MassParams};
 use mass_par::without_work_floors;
@@ -101,9 +102,7 @@ fn nb_fast_path_within_documented_tolerance() {
         bits(&reference),
         "exact flat batch vs per-document reference"
     );
-    let exact_mt = without_work_floors(|| {
-        compiled.posterior_batch_prepared_flat_with(&prepared, 4, NbPrecision::Exact)
-    });
+    let exact_mt = compiled.posterior_batch_prepared_flat_with(&prepared, 4, NbPrecision::Exact);
     assert_eq!(bits(&exact), bits(&exact_mt), "exact batch across threads");
 
     let fast = compiled.posterior_batch_prepared_flat_with(&prepared, 1, NbPrecision::Fast);

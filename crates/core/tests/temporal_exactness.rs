@@ -4,7 +4,9 @@
 //! `f64::to_bits`-identical to a full batch [`MassAnalysis::analyze`] at
 //! the same horizon — across seeds, window schedules, decay laws, and
 //! solver thread counts {1, 4} — and the sweep layout the engine derives
-//! from its cached weights must equal the batch one. Plus property tests on [`DecayParams`]:
+//! from its cached weights must equal the batch one (the four-thread runs go
+//! through `without_work_floors`, so these small corpora reach the chunked
+//! kernels). Plus property tests on [`DecayParams`]:
 //! validation never panics and always returns typed errors on degenerate
 //! half-lives, weights live in `[0, 1]` and decrease with age, and an
 //! infinite half-life reproduces the undecayed analysis bit for bit.
@@ -13,6 +15,7 @@ use mass_core::storm::{apply_to_dataset, apply_to_incremental, scripted_storm, S
 use mass_core::{
     DecayParams, IncrementalMass, IvSource, MassAnalysis, MassParams, TemporalError, TemporalParams,
 };
+use mass_par::without_work_floors;
 use mass_synth::{generate, SynthConfig};
 use proptest::prelude::*;
 
@@ -62,37 +65,41 @@ fn window_advance_is_bit_identical_to_batch_analysis_at_every_horizon() {
         for decay in laws {
             for &schedule in schedules {
                 for threads in [1usize, 4] {
-                    let params = temporal_params(threads, schedule[0], decay);
-                    let mut inc = IncrementalMass::new(ds.clone(), params.clone());
-                    for &t in &schedule[1..] {
-                        inc.advance_to(t).unwrap();
-                        let stats = inc.refresh();
-                        assert!(
-                            stats.converged,
-                            "seed {seed} {decay:?} threads {threads} as-of {t}"
-                        );
-                        let batch_params = MassParams {
-                            temporal: Some(TemporalParams { as_of: t, decay }),
-                            ..params.clone()
-                        };
-                        let batch = MassAnalysis::analyze(&ds, &batch_params);
-                        let tag = format!("seed {seed} {decay:?} threads {threads} as-of {t}");
-                        assert_eq!(
-                            bits(&inc.scores().blogger),
-                            bits(&batch.scores.blogger),
-                            "{tag}: blogger scores"
-                        );
-                        assert_eq!(
-                            bits(&inc.scores().post),
-                            bits(&batch.scores.post),
-                            "{tag}: post scores"
-                        );
-                        assert_eq!(bits(&inc.scores().gl), bits(&batch.scores.gl), "{tag}: GL");
-                        assert!(
-                            inc.sweep_layout() == common::batch_layout(&ds, &batch_params),
-                            "{tag}: maintained layout"
-                        );
-                    }
+                    // Floors off: threads 4 takes the chunked solve and pull on
+                    // this small corpus, as it would on one above the floors.
+                    without_work_floors(|| {
+                        let params = temporal_params(threads, schedule[0], decay);
+                        let mut inc = IncrementalMass::new(ds.clone(), params.clone());
+                        for &t in &schedule[1..] {
+                            inc.advance_to(t).unwrap();
+                            let stats = inc.refresh();
+                            assert!(
+                                stats.converged,
+                                "seed {seed} {decay:?} threads {threads} as-of {t}"
+                            );
+                            let batch_params = MassParams {
+                                temporal: Some(TemporalParams { as_of: t, decay }),
+                                ..params.clone()
+                            };
+                            let batch = MassAnalysis::analyze(&ds, &batch_params);
+                            let tag = format!("seed {seed} {decay:?} threads {threads} as-of {t}");
+                            assert_eq!(
+                                bits(&inc.scores().blogger),
+                                bits(&batch.scores.blogger),
+                                "{tag}: blogger scores"
+                            );
+                            assert_eq!(
+                                bits(&inc.scores().post),
+                                bits(&batch.scores.post),
+                                "{tag}: post scores"
+                            );
+                            assert_eq!(bits(&inc.scores().gl), bits(&batch.scores.gl), "{tag}: GL");
+                            assert!(
+                                inc.sweep_layout() == common::batch_layout(&ds, &batch_params),
+                                "{tag}: maintained layout"
+                            );
+                        }
+                    });
                 }
             }
         }
@@ -105,41 +112,45 @@ fn window_advance_is_bit_identical_to_batch_analysis_at_every_horizon() {
 #[test]
 fn advance_interleaved_with_edit_storms_stays_exact() {
     for threads in [1usize, 4] {
-        let decay = DecayParams::Exponential { half_life: 200.0 };
-        let params = temporal_params(threads, 100, decay);
-        let ds = temporal_corpus(7);
-        let mut inc = IncrementalMass::new(ds.clone(), params.clone());
-        let mut plain = ds;
-        for (round, horizon) in [300u64, 550, 900].into_iter().enumerate() {
-            let script = scripted_storm(&plain, 6, 800 + round as u64, StormMix::Mixed);
-            apply_to_incremental(&mut inc, &script);
-            apply_to_dataset(&mut plain, &script);
-            inc.advance_to(horizon).unwrap();
-            let stats = inc.refresh();
-            assert!(stats.converged, "threads {threads} round {round}");
-            let batch_params = MassParams {
-                temporal: Some(TemporalParams {
-                    as_of: horizon,
-                    decay,
-                }),
-                ..params.clone()
-            };
-            let batch = MassAnalysis::analyze(&plain, &batch_params);
-            assert_eq!(
-                bits(&inc.scores().blogger),
-                bits(&batch.scores.blogger),
-                "threads {threads} round {round}: blogger scores"
-            );
-            assert_eq!(
-                bits(&inc.scores().post),
-                bits(&batch.scores.post),
-                "threads {threads} round {round}: post scores"
-            );
-            assert!(
-                inc.sweep_layout() == common::batch_layout(&plain, &batch_params),
-                "threads {threads} round {round}: maintained layout"
-            );
-        }
+        // Floors off: threads 4 takes the chunked solve and pull on
+        // this small corpus, as it would on one above the floors.
+        without_work_floors(|| {
+            let decay = DecayParams::Exponential { half_life: 200.0 };
+            let params = temporal_params(threads, 100, decay);
+            let ds = temporal_corpus(7);
+            let mut inc = IncrementalMass::new(ds.clone(), params.clone());
+            let mut plain = ds;
+            for (round, horizon) in [300u64, 550, 900].into_iter().enumerate() {
+                let script = scripted_storm(&plain, 6, 800 + round as u64, StormMix::Mixed);
+                apply_to_incremental(&mut inc, &script);
+                apply_to_dataset(&mut plain, &script);
+                inc.advance_to(horizon).unwrap();
+                let stats = inc.refresh();
+                assert!(stats.converged, "threads {threads} round {round}");
+                let batch_params = MassParams {
+                    temporal: Some(TemporalParams {
+                        as_of: horizon,
+                        decay,
+                    }),
+                    ..params.clone()
+                };
+                let batch = MassAnalysis::analyze(&plain, &batch_params);
+                assert_eq!(
+                    bits(&inc.scores().blogger),
+                    bits(&batch.scores.blogger),
+                    "threads {threads} round {round}: blogger scores"
+                );
+                assert_eq!(
+                    bits(&inc.scores().post),
+                    bits(&batch.scores.post),
+                    "threads {threads} round {round}: post scores"
+                );
+                assert!(
+                    inc.sweep_layout() == common::batch_layout(&plain, &batch_params),
+                    "threads {threads} round {round}: maintained layout"
+                );
+            }
+        });
     }
 }
 
@@ -159,7 +170,7 @@ fn decayed_refresh_is_thread_count_invariant() {
         inc.refresh();
         (bits(&inc.scores().blogger), bits(&inc.scores().post))
     };
-    assert_eq!(run(1), run(4));
+    assert_eq!(run(1), without_work_floors(|| run(4)));
 }
 
 /// An infinite half-life at a horizon past every timestamp is the

@@ -3,11 +3,14 @@
 //! every block size × thread count combination, on graphs built to stress
 //! the blocking edge cases — dangling-heavy (most rows empty), stars (one
 //! row spans every block), and dense multi-edge tangles (duplicate sources
-//! inside one block segment).
+//! inside one block segment). The multi-threaded runs go through
+//! `without_work_floors`: these graphs sit below the link-analysis floor,
+//! where every thread count would take the serial pull.
 
 use mass_graph::{
     hits_csr, pagerank_csr, DiGraph, HitsParams, LinkCsr, PageRankParams, DEFAULT_BLOCK_NODES,
 };
+use mass_par::without_work_floors;
 use proptest::prelude::*;
 
 /// Adversarial graph shapes: `kind` selects dangling-heavy, star, or
@@ -59,11 +62,11 @@ proptest! {
         // at this scale), a mid-size tile, and ∞ (the plain kernel).
         for block_nodes in [2usize, 7, DEFAULT_BLOCK_NODES, 0] {
             for threads in [1usize, 4] {
-                let got = pagerank_csr(
+                let got = without_work_floors(|| pagerank_csr(
                     &link,
                     &PageRankParams { block_nodes, threads, ..Default::default() },
                     None,
-                );
+                ));
                 prop_assert_eq!(got.iterations, reference.iterations);
                 prop_assert_eq!(
                     bits(&got.scores),
@@ -89,11 +92,11 @@ proptest! {
         );
         for block_nodes in [2usize, 7, DEFAULT_BLOCK_NODES, 0] {
             for threads in [1usize, 4] {
-                let got = hits_csr(
+                let got = without_work_floors(|| hits_csr(
                     &link,
                     &HitsParams { block_nodes, threads, ..Default::default() },
                     None,
-                );
+                ));
                 prop_assert_eq!(got.iterations, reference.iterations);
                 prop_assert_eq!(
                     bits(&got.authority),

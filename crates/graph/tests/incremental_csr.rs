@@ -5,8 +5,11 @@
 //!
 //! The edit batches are adversarial on purpose: self-loops, duplicate
 //! edges, edges into brand-new nodes, and nodes that stay isolated.
+//! The kernels run under `without_work_floors`, so threads 4 takes the
+//! chunked pull even on graphs below the link-analysis floor.
 
 use mass_graph::{hits_csr, pagerank_csr, DiGraph, HitsParams, LinkCsr, PageRankParams};
+use mass_par::without_work_floors;
 use proptest::prelude::*;
 
 /// A base graph plus a batch of append-only edits: `added_nodes` new nodes
@@ -58,8 +61,9 @@ proptest! {
         let fresh = LinkCsr::from_digraph(&rebuilt(&base, added, &edits));
         for threads in [1usize, 4] {
             let pr_params = PageRankParams { threads, ..Default::default() };
-            let a = pagerank_csr(&link, &pr_params, None);
-            let b = pagerank_csr(&fresh, &pr_params, None);
+            let (a, b) = without_work_floors(|| {
+                (pagerank_csr(&link, &pr_params, None), pagerank_csr(&fresh, &pr_params, None))
+            });
             prop_assert_eq!(a.iterations, b.iterations, "pagerank sweeps at threads={}", threads);
             prop_assert_eq!(
                 a.scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
@@ -67,8 +71,9 @@ proptest! {
                 "pagerank diverged at threads={}", threads
             );
             let h_params = HitsParams { threads, ..Default::default() };
-            let ha = hits_csr(&link, &h_params, None);
-            let hb = hits_csr(&fresh, &h_params, None);
+            let (ha, hb) = without_work_floors(|| {
+                (hits_csr(&link, &h_params, None), hits_csr(&fresh, &h_params, None))
+            });
             prop_assert_eq!(
                 ha.authority.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
                 hb.authority.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),

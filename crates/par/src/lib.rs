@@ -306,14 +306,19 @@ pub fn executor(threads: usize) -> Exec<'static> {
 
 /// Work floors of the fine kernels, in the kernel's work units per pass.
 /// Below its floor a kernel's chunked loops lose to its serial loop, so
-/// [`kernel_executor`] hands it the serial executor. Each floor is the
-/// crossover measured on a 2-vCPU Xeon VM, 1 thread against auto (DESIGN.md
-/// §8, EXPERIMENTS.md "Thread policy"). Kernels without a floor (the NB
-/// batch) never measured slower at auto.
+/// [`kernel_executor`] hands it the serial executor. The floors come from
+/// sweeps on a 2-vCPU Xeon VM, 1 thread against auto (DESIGN.md §8,
+/// EXPERIMENTS.md "Thread policy"). Kernels without a floor (the NB batch)
+/// never measured slower at auto.
 pub mod floor {
     /// One Jacobi sweep of the MASS solver: comments + posts + bloggers.
-    /// The chunked sweep was 2.0× slower than the serial one at 0.77M
-    /// units, 1.38× at 2.2M, and 6% faster at 4.4M.
+    /// Not a measured crossover: on 2 vCPUs the chunked sweep was 2.0×
+    /// slower than the serial one at 0.77M units and 1.38× at 2.2M, and
+    /// at 4.4M it was not shown faster (one kernel-sweep cell read 6%
+    /// faster, X11 read 0.97× at 2 threads and 0.93× at 4). The floor
+    /// sits where the two sides meet within noise, so hosts with more
+    /// cores can still reach the chunked solve; whether it pays there is
+    /// unverified.
     pub const SOLVE: usize = 1 << 22;
     /// One PageRank or HITS pull: nodes + edges. The chunked pull was
     /// 1.24× slower at 16.6k units, 7% faster at 20.8k and 1.4× faster

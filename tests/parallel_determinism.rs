@@ -7,10 +7,11 @@
 //! approximate equality, `f64::to_bits` equality, on randomized synthetic
 //! corpora.
 //!
-//! These corpora are far below every kernel's work floor, where each
-//! thread count takes the serial path. So the parallel sides run under
-//! [`without_work_floors`], which sends every kernel through its chunked
-//! path; `the_floor_hook_reaches_the_pool` proves the hook does.
+//! These corpora are far below the solve and link-analysis work floors,
+//! where each thread count takes the serial path. So the parallel sides of
+//! those kernels run under [`without_work_floors`], which sends them
+//! through their chunked paths; `the_floor_hook_reaches_the_pool` proves
+//! the hook does. The NB batch has no floor and needs no hook.
 
 use mass::core::{GlProvider, InfluenceScores, IvSource, MassAnalysis, MassParams};
 use mass::graph::{hits, pagerank, DiGraph, HitsParams, PageRankParams};
@@ -280,7 +281,7 @@ fn nb_posterior_batch_matches_serial_calls() {
         .collect();
     let one_by_one: Vec<Vec<f64>> = docs.iter().map(|d| model.posterior(d)).collect();
     for threads in THREADS {
-        let batch = without_work_floors(|| model.posterior_batch(&docs, threads));
+        let batch = model.posterior_batch(&docs, threads);
         assert_eq!(batch.len(), one_by_one.len());
         for (k, (a, b)) in one_by_one.iter().zip(&batch).enumerate() {
             assert_eq!(
