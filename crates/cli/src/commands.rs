@@ -130,25 +130,10 @@ fn temporal_params(args: &Args) -> Result<Option<TemporalParams>, String> {
 }
 
 fn mass_params(args: &Args) -> Result<MassParams, String> {
-    let nb_precision = match args
-        .get("nb-precision")
-        .filter(|s| !s.is_empty())
-        .unwrap_or("exact")
-    {
-        "exact" => mass_text::NbPrecision::Exact,
-        "fast" => mass_text::NbPrecision::Fast,
-        other => {
-            return Err(format!(
-                "invalid value for --nb-precision: {other:?} (expected exact or fast)"
-            ))
-        }
-    };
     let params = MassParams {
         alpha: args.get_parse("alpha", 0.5)?,
         beta: args.get_parse("beta", 0.6)?,
         threads: args.get_parse("threads", 0usize)?,
-        block_nodes: args.get_parse("block-size", 0usize)?,
-        nb_precision,
         temporal: temporal_params(args)?,
         ..MassParams::paper()
     };
@@ -1864,20 +1849,5 @@ mod tests {
         generate(&args(&["generate", "--bloggers", "20", "--out", &path])).unwrap();
         let err = rank(&args(&["rank", "--in", &path, "--alpha", "7"])).unwrap_err();
         assert!(err.contains("alpha"));
-    }
-
-    #[test]
-    fn kernel_knobs_parse_into_params() {
-        let a = args(&["rank", "--block-size", "4096", "--nb-precision", "fast"]);
-        let p = mass_params(&a).unwrap();
-        assert_eq!(p.block_nodes, 4096);
-        assert_eq!(p.nb_precision, mass_text::NbPrecision::Fast);
-
-        let defaults = mass_params(&args(&["rank"])).unwrap();
-        assert_eq!(defaults.block_nodes, 0);
-        assert_eq!(defaults.nb_precision, mass_text::NbPrecision::Exact);
-
-        let err = mass_params(&args(&["rank", "--nb-precision", "f16"])).unwrap_err();
-        assert!(err.contains("nb-precision"), "{err}");
     }
 }

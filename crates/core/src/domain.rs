@@ -62,21 +62,17 @@ pub fn iv_vectors_prepared(
     }
 }
 
-/// Batch classification over interned documents, honouring
-/// [`MassParams::nb_precision`]: the flat `posts × classes` posterior block
-/// is computed in one allocation and carved into per-post rows.
+/// Batch classification over interned documents: the flat
+/// `posts × classes` posterior block is computed in one allocation and
+/// carved into per-post rows.
 fn classify_all_prepared(
     model: &NaiveBayes,
     corpus: &PreparedCorpus,
     params: &MassParams,
 ) -> Vec<Vec<f64>> {
-    let compiled = model.compile(corpus.interner());
-    let classes = compiled.classes();
-    compiled
-        .posterior_batch_prepared_flat_with(corpus, params.threads, params.nb_precision)
-        .chunks_exact(classes)
-        .map(|row| row.to_vec())
-        .collect()
+    model
+        .compile(corpus.interner())
+        .posterior_batch_prepared(corpus, params.threads)
 }
 
 /// Trains the Post Analyzer's classifier on the tagged subset of the corpus.

@@ -73,13 +73,12 @@ pub use dirty::{DirtySet, Obligations};
 pub use expert_search::ExpertSearch;
 pub use gl::{gl_graph, gl_scores_csr, GlRefresh};
 pub use incremental::{AdvanceStats, IncrementalMass, RefreshFault, RefreshMode, RefreshStats};
-pub use mass_text::{NbPrecision, NB_FAST_TOLERANCE};
 pub use params::{GlProvider, IvSource, LengthMode, MassParams};
 pub use recommend::Recommender;
 pub use snapshot::ServingSnapshot;
 pub use solver::{
-    solve, solve_prepared, solve_prepared_reference, solve_prepared_with_layout, InfluenceScores,
-    SolveStatus, SolverInputs, SweepLayout,
+    solve, solve_prepared, solve_prepared_with_layout, InfluenceScores, SolveStatus, SolverInputs,
+    SweepLayout,
 };
 pub use storm::{apply_to_dataset, apply_to_incremental, scripted_storm, ScriptedEdit, StormMix};
 pub use temporal::{

@@ -5,7 +5,7 @@
 //! are user-tunable, with paper defaults 0.5 and 0.6.
 
 use crate::temporal::TemporalParams;
-use mass_text::{NaiveBayes, NbPrecision};
+use mass_text::NaiveBayes;
 
 /// Which authority measure backs the General-Links (GL) facet of Eq. 1.
 #[derive(Clone, Copy, Debug, PartialEq, Default)]
@@ -94,18 +94,6 @@ pub struct MassParams {
     /// determinism contract of DESIGN.md §8, enforced by the differential
     /// harness in `tests/parallel_determinism.rs`.
     pub threads: usize,
-    /// Cache-blocking tile width (destination nodes) for the link-analysis
-    /// pull kernel (DESIGN.md §14): `0` keeps the plain kernel (blocking
-    /// is opt-in — see `resolve_block_nodes`), any other value forces that
-    /// tile, `usize::MAX` disables blocking.
-    /// Scores are bit-identical at every setting.
-    pub block_nodes: usize,
-    /// Arithmetic for the naive-Bayes domain classifier.
-    /// [`NbPrecision::Exact`] (default) is bit-identical to the reference
-    /// gather; [`NbPrecision::Fast`] gathers from an `f32` table —
-    /// tolerance-bounded, never bit-identical, so artifacts built with it
-    /// must not feed byte-identity gates.
-    pub nb_precision: NbPrecision,
     /// Temporal facet (DESIGN.md §15): when set, scoring weights every
     /// post and comment by its age at `as_of` under the given decay law,
     /// and items stamped after `as_of` are invisible. `None` (the
@@ -130,8 +118,6 @@ impl MassParams {
             max_iterations: 100,
             residual_history_cap: 256,
             threads: 1,
-            block_nodes: 0,
-            nb_precision: NbPrecision::Exact,
             temporal: None,
         }
     }
@@ -187,8 +173,6 @@ impl PartialEq for MassParams {
             && self.max_iterations == other.max_iterations
             && self.residual_history_cap == other.residual_history_cap
             && self.threads == other.threads
-            && self.block_nodes == other.block_nodes
-            && self.nb_precision == other.nb_precision
             && self.temporal == other.temporal
             && matches!(
                 (&self.iv, &other.iv),

@@ -20,6 +20,7 @@
 //! bundles the two views of one graph for the kernels that need both.
 
 use crate::digraph::DiGraph;
+use mass_par::Exec;
 
 /// Which adjacency a [`Csr`] holds — decides where [`Csr::apply_edits`]
 /// lands each new edge `u → v` and in what order within the row.
@@ -255,6 +256,19 @@ impl Csr {
     }
 }
 
+/// The pull step behind PageRank and the HITS authority half-step:
+/// `out[v] = base + Σ weights[u]` over row `v`, folded in row order. Over a
+/// predecessor view that is ascending `u`, the legacy scatter's addition
+/// order, so the fold reproduces the scatter bit for bit at every thread
+/// count.
+pub(crate) fn pull(ex: Exec, rows: &Csr, weights: &[f64], base: f64, out: &mut [f64]) {
+    ex.par_fill(out, |v| {
+        rows.row(v)
+            .iter()
+            .fold(base, |a, &u| a + weights[u as usize])
+    });
+}
+
 /// Row-by-row constructor for a successor [`Csr`] — what sharded corpus
 /// ingest uses to assemble the friend-link graph without materialising a
 /// [`DiGraph`]: each shard builds the rows of its contiguous node range,
@@ -400,8 +414,7 @@ impl LinkCsr {
         self.preds.degree(v)
     }
 
-    /// The successor adjacency as a whole — the pull kernels hand this to
-    /// [`crate::pull::PullKernel`].
+    /// The successor adjacency as a whole.
     #[inline]
     pub fn successors_csr(&self) -> &Csr {
         &self.succs
@@ -418,6 +431,20 @@ impl LinkCsr {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn pull_gives_empty_rows_the_base() {
+        let rows = Csr::predecessors_of(&DiGraph::from_edges(5, [(0, 1), (3, 1)]));
+        let mut out = vec![0.0f64; 5];
+        pull(
+            Exec::serial(),
+            &rows,
+            &[1.0, 2.0, 4.0, 8.0, 16.0],
+            0.5,
+            &mut out,
+        );
+        assert_eq!(out, vec![0.5, 9.5, 0.5, 0.5, 0.5]);
+    }
 
     #[test]
     fn successors_preserve_insertion_order() {

@@ -119,15 +119,17 @@ pub fn generate(cfg: &SynthConfig) -> SynthOutput {
             .iter()
             .map(|p| 0.05 + authority[p.author.index()])
             .collect();
+        // One sampler over every post; post k draws from its prefix of
+        // earlier posts.
+        let by_weight = WeightedSampler::new(&post_weights);
         for k in (1..posts.len()).rev() {
             let n_links = skewed_count(&mut rng, cfg.mean_post_links, 8);
             if n_links == 0 {
                 continue;
             }
-            let earlier = WeightedSampler::new(&post_weights[..k]);
             let mut targets = Vec::new();
             for _ in 0..n_links {
-                let t = PostId::new(earlier.sample(&mut rng));
+                let t = PostId::new(by_weight.sample_prefix(k, &mut rng));
                 if !targets.contains(&t) {
                     targets.push(t);
                 }

@@ -61,14 +61,30 @@ impl WeightedSampler {
 
     /// Draws an index with probability proportional to its weight.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let total = *self.cumulative.last().expect("non-empty");
+        self.sample_prefix(self.cumulative.len(), rng)
+    }
+
+    /// Draws an index in `0..k` with probability proportional to its
+    /// weight — the same draw, bit for bit, as a sampler built over the
+    /// first `k` weights alone: the cumulative sums are built left to
+    /// right, so their first `k` entries are that sampler's sums.
+    ///
+    /// # Panics
+    /// Panics if `k` is 0 or beyond [`len`](Self::len), or the first `k`
+    /// weights are all zero.
+    pub fn sample_prefix<R: Rng + ?Sized>(&self, k: usize, rng: &mut R) -> usize {
+        assert!(
+            (1..=self.cumulative.len()).contains(&k),
+            "prefix {k} outside 1..={}",
+            self.cumulative.len()
+        );
+        let prefix = &self.cumulative[..k];
+        let total = prefix[k - 1];
+        assert!(total > 0.0, "all weights are zero");
         let target = rng.random::<f64>() * total;
-        match self
-            .cumulative
-            .binary_search_by(|c| c.partial_cmp(&target).expect("finite"))
-        {
-            Ok(i) => (i + 1).min(self.cumulative.len() - 1),
-            Err(i) => i.min(self.cumulative.len() - 1),
+        match prefix.binary_search_by(|c| c.partial_cmp(&target).expect("finite")) {
+            Ok(i) => (i + 1).min(k - 1),
+            Err(i) => i.min(k - 1),
         }
     }
 

@@ -1,9 +1,12 @@
 //! Property-based tests: the generator must produce consistent corpora for
 //! any configuration in the supported envelope.
 
+use mass_synth::sampling::WeightedSampler;
 use mass_synth::{generate, SynthConfig};
 use mass_types::BloggerId;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn arb_config() -> impl Strategy<Value = SynthConfig> {
     (
@@ -92,5 +95,45 @@ proptest! {
             prop_assert!((out.truth.true_general_score(first) - max).abs() < 1e-12);
         }
         let _ = BloggerId::new(0);
+    }
+}
+
+/// Weights with exact zeros mixed in (about one in three), ending in a
+/// positive weight so the whole-vector sampler exists.
+fn arb_weights() -> impl Strategy<Value = Vec<f64>> {
+    (
+        proptest::collection::vec((0u8..3, 0.0f64..10.0), 0..40),
+        0.01f64..10.0,
+    )
+        .prop_map(|(raw, last)| {
+            let mut w: Vec<f64> = raw
+                .into_iter()
+                .map(|(zero, x)| if zero == 0 { 0.0 } else { x })
+                .collect();
+            w.push(last);
+            w
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The generator's post links draw from prefixes of one sampler; each
+    /// draw must equal the draw of a sampler built over the prefix alone.
+    #[test]
+    fn prefix_draws_equal_a_prefix_sampler(w in arb_weights(), seed in any::<u64>()) {
+        let whole = WeightedSampler::new(&w);
+        let mut acc = 0.0;
+        for k in 1..=w.len() {
+            acc += w[k - 1];
+            if acc == 0.0 {
+                continue; // an all-zero prefix has no sampler to compare with
+            }
+            let prefix = WeightedSampler::new(&w[..k]);
+            let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            for _ in 0..8 {
+                prop_assert_eq!(whole.sample_prefix(k, &mut a), prefix.sample(&mut b));
+            }
+        }
     }
 }

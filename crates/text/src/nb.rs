@@ -255,10 +255,14 @@ impl NaiveBayes {
         // ln(prior) ≤ 0 and never become -0.0), so the gather loop needs no
         // membership branch.
         let width = self.term_index.len() + 1;
-        let mut ll = vec![0.0f64; self.classes * width];
-        for (idx, counts) in self.term_class_counts.iter().enumerate() {
-            for (c, row) in ll.chunks_exact_mut(width).enumerate() {
-                row[idx] = ((counts[c] as f64 + 1.0) / (self.class_tokens[c] as f64 + v)).ln();
+        let mut ll_t = vec![0.0f64; width * self.classes];
+        for (counts, row) in self
+            .term_class_counts
+            .iter()
+            .zip(ll_t.chunks_exact_mut(self.classes))
+        {
+            for (c, l) in row.iter_mut().enumerate() {
+                *l = ((counts[c] as f64 + 1.0) / (self.class_tokens[c] as f64 + v)).ln();
             }
         }
         let log_priors: Vec<f64> = (0..self.classes)
@@ -274,79 +278,31 @@ impl NaiveBayes {
                     .map_or(oov, |&i| i as u32)
             })
             .collect();
-        // Term-major transpose of the same values: one token's per-class
-        // likelihoods sit contiguously, so the gather inner loop over
-        // classes autovectorises instead of striding by `width`.
-        let mut ll_t = vec![0.0f64; self.classes * width];
-        for c in 0..self.classes {
-            for col in 0..width {
-                ll_t[col * self.classes + c] = ll[c * width + col];
-            }
-        }
-        let ll_t_f32: Vec<f32> = ll_t.iter().map(|&x| x as f32).collect();
-        let log_priors_f32: Vec<f32> = log_priors.iter().map(|&x| x as f32).collect();
         CompiledNb {
             classes: self.classes,
-            width,
             log_priors,
-            ll,
             ll_t,
-            ll_t_f32,
-            log_priors_f32,
             term_map,
         }
     }
 }
 
-/// Accumulation precision for the compiled NB gather.
-///
-/// [`NbPrecision::Exact`] (the default) accumulates in `f64` and is
-/// `f64::to_bits`-identical to [`NaiveBayes::log_scores`] — the workspace
-/// contract. [`NbPrecision::Fast`] gathers from an `f32` copy of the
-/// likelihood table (half the memory traffic on large vocabularies) and
-/// accumulates in `f32`; posteriors agree with the exact path to within
-/// [`NB_FAST_TOLERANCE`] per entry but are NOT bit-identical — never use it
-/// where artifacts feed a byte-identity gate (DESIGN.md §14).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum NbPrecision {
-    /// `f64` accumulate — bit-identical reference semantics (default).
-    #[default]
-    Exact,
-    /// `f32` table + `f32` accumulate — tolerance-bounded fast path.
-    Fast,
-}
-
-/// Documented per-entry posterior tolerance of [`NbPrecision::Fast`]
-/// against the exact path. `f32` carries ~7 significant digits; hundreds of
-/// accumulated tokens keep the log-score error orders of magnitude below
-/// this bound, and the differential suite enforces it on real corpora.
-pub const NB_FAST_TOLERANCE: f64 = 1e-3;
-
-/// A trained model flattened into a dense row-major table of precomputed
-/// log-likelihoods (`ll[class * width + column]`), plus a map from interner
-/// [`TermId`]s to table columns. Classification over interned token
-/// sequences becomes a branch-free gather-and-sum — no tokenization, no
-/// hashing, no `ln` — that `mass-par` chunks effectively.
+/// A trained model flattened into a dense term-major table of precomputed
+/// log-likelihoods, plus a map from interner [`TermId`]s to table columns.
+/// Classification over interned token sequences becomes a branch-free
+/// gather-and-sum — no tokenization, no hashing, no `ln` — that `mass-par`
+/// chunks effectively.
 #[derive(Clone, Debug)]
 pub struct CompiledNb {
     classes: usize,
-    /// Model vocabulary size + 1; the last column is all zeros (OOV).
-    width: usize,
     log_priors: Vec<f64>,
-    /// Class-major table (`ll[class * width + column]`) — the original
-    /// layout, kept as the reference gather for differential tests and
-    /// old-vs-new benches ([`CompiledNb::log_scores_ids_ref`]).
-    ll: Vec<f64>,
-    /// Term-major transpose (`ll_t[column * classes + class]`): one token's
+    /// Term-major table (`ll_t[column * classes + class]`): one token's
     /// likelihoods are contiguous, so the per-token class loop is a unit
-    /// stride the compiler vectorises. Same values as `ll`, bit for bit.
+    /// stride the compiler vectorises. The last column (model vocabulary
+    /// size) is all zeros, for out-of-vocabulary terms.
     ll_t: Vec<f64>,
-    /// `f32` copy of `ll_t` for [`NbPrecision::Fast`].
-    ll_t_f32: Vec<f32>,
-    /// `f32` copy of the priors for [`NbPrecision::Fast`].
-    log_priors_f32: Vec<f32>,
-    /// Interner id → table column (`width - 1` for terms the model never
-    /// saw).
+    /// Interner id → table column (the all-zero last column for terms the
+    /// model never saw).
     term_map: Vec<u32>,
 }
 
@@ -380,46 +336,6 @@ impl CompiledNb {
         softmax_in_place(out);
     }
 
-    /// [`NbPrecision::Fast`] posterior: gathers from the `f32` table with a
-    /// pure-`f32` accumulation (the running score is narrowed back through
-    /// `f32` each step, so carrying it in the f64 `out` slot is exact
-    /// f32 arithmetic), then a stable f64 softmax. Within
-    /// [`NB_FAST_TOLERANCE`] of [`CompiledNb::posterior_ids_into`], not
-    /// bit-identical.
-    pub fn posterior_ids_into_fast(&self, ids: &[TermId], out: &mut [f64]) {
-        assert_eq!(out.len(), self.classes);
-        // Accumulate in a stack f32 buffer: half the table traffic of the
-        // exact path and no per-add width conversions. Class counts beyond
-        // the buffer take a heap accumulator instead — same arithmetic.
-        const STACK: usize = 64;
-        if self.classes <= STACK {
-            let mut acc = [0.0f32; STACK];
-            acc[..self.classes].copy_from_slice(&self.log_priors_f32);
-            self.accumulate_f32(ids, &mut acc[..self.classes]);
-            for (o, &s) in out.iter_mut().zip(&acc[..self.classes]) {
-                *o = f64::from(s);
-            }
-        } else {
-            let mut acc = self.log_priors_f32.clone();
-            self.accumulate_f32(ids, &mut acc);
-            for (o, &s) in out.iter_mut().zip(&acc) {
-                *o = f64::from(s);
-            }
-        }
-        softmax_in_place(out);
-    }
-
-    /// The `f32` gather-and-sum core of [`CompiledNb::posterior_ids_into_fast`].
-    fn accumulate_f32(&self, ids: &[TermId], acc: &mut [f32]) {
-        for &t in ids {
-            let col = self.term_map[t as usize] as usize;
-            let row = &self.ll_t_f32[col * self.classes..(col + 1) * self.classes];
-            for (score, &l) in acc.iter_mut().zip(row) {
-                *score += l;
-            }
-        }
-    }
-
     /// Allocating wrapper over [`CompiledNb::log_scores_ids_into`].
     pub fn log_scores_ids(&self, ids: &[TermId]) -> Vec<f64> {
         let mut out = vec![0.0f64; self.classes];
@@ -427,32 +343,11 @@ impl CompiledNb {
         out
     }
 
-    /// The pre-transpose reference gather: clones the priors and strides
-    /// the class-major table — the original `log_scores_ids` loop, kept
-    /// callable so differential tests and the X17 bench can pin the
-    /// restructured kernel against it.
-    pub fn log_scores_ids_ref(&self, ids: &[TermId]) -> Vec<f64> {
-        let mut scores = self.log_priors.clone();
-        for &t in ids {
-            let col = self.term_map[t as usize] as usize;
-            for (c, score) in scores.iter_mut().enumerate() {
-                *score += self.ll[c * self.width + col];
-            }
-        }
-        scores
-    }
-
     /// Allocating wrapper over [`CompiledNb::posterior_ids_into`].
     pub fn posterior_ids(&self, ids: &[TermId]) -> Vec<f64> {
         let mut out = vec![0.0f64; self.classes];
         self.posterior_ids_into(ids, &mut out);
         out
-    }
-
-    /// Reference posterior over [`CompiledNb::log_scores_ids_ref`] with the
-    /// original allocating softmax — the exact pre-PR per-document path.
-    pub fn posterior_ids_ref(&self, ids: &[TermId]) -> Vec<f64> {
-        softmax(&self.log_scores_ids_ref(ids))
     }
 
     /// Most probable class for an interned token sequence.
@@ -470,29 +365,11 @@ impl CompiledNb {
         corpus: &PreparedCorpus,
         threads: usize,
     ) -> Vec<f64> {
-        self.posterior_batch_prepared_flat_with(corpus, threads, NbPrecision::Exact)
-    }
-
-    /// [`CompiledNb::posterior_batch_prepared_flat`] with an explicit
-    /// precision: `Exact` is the bit-identical default, `Fast` gathers from
-    /// the `f32` table (tolerance-bounded, see [`NB_FAST_TOLERANCE`]).
-    pub fn posterior_batch_prepared_flat_with(
-        &self,
-        corpus: &PreparedCorpus,
-        threads: usize,
-        precision: NbPrecision,
-    ) -> Vec<f64> {
         let start = std::time::Instant::now();
         let mut out = vec![0.0f64; corpus.posts() * self.classes];
-        let ex = mass_par::executor(threads);
-        match precision {
-            NbPrecision::Exact => ex.par_fill_rows(&mut out, self.classes, |k, row| {
-                self.posterior_ids_into(corpus.doc_tokens(k), row)
-            }),
-            NbPrecision::Fast => ex.par_fill_rows(&mut out, self.classes, |k, row| {
-                self.posterior_ids_into_fast(corpus.doc_tokens(k), row)
-            }),
-        }
+        mass_par::executor(threads).par_fill_rows(&mut out, self.classes, |k, row| {
+            self.posterior_ids_into(corpus.doc_tokens(k), row)
+        });
         mass_obs::histogram("text.classify_batch_us").record_duration(start.elapsed());
         out
     }
@@ -749,57 +626,24 @@ mod tests {
 
     #[test]
     fn into_variants_match_reference_gather_bitwise() {
-        // The transposed-table scratch-buffer path and the retained
-        // class-major reference path must agree bit for bit — this is the
-        // contract that lets the solver keep its byte-identity gates after
-        // the kernel restructure.
+        // The scratch-buffer gathers must agree bit for bit with the string
+        // model over the same resolved tokens — the contract that lets the
+        // solver keep its byte-identity gates on the interned path.
         let m = trained();
         let mut interner = Interner::new();
         let ids = interned_probe_ids(&mut interner);
         let compiled = m.compile(&interner);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let mut scratch = vec![0.0f64; compiled.classes()];
         for ids in &ids {
-            let reference = compiled.log_scores_ids_ref(ids);
+            let tokens: Vec<&str> = ids.iter().map(|&t| interner.resolve(t)).collect();
+            let reference = m.log_scores_tokens(tokens.iter().copied());
             compiled.log_scores_ids_into(ids, &mut scratch);
-            assert_eq!(
-                scratch.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                reference.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            );
-            assert_eq!(
-                compiled
-                    .log_scores_ids(ids)
-                    .iter()
-                    .map(|x| x.to_bits())
-                    .collect::<Vec<_>>(),
-                reference.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            );
-            let ref_post = compiled.posterior_ids_ref(ids);
+            assert_eq!(bits(&scratch), bits(&reference), "{tokens:?}");
+            assert_eq!(bits(&compiled.log_scores_ids(ids)), bits(&reference));
+            let ref_post = m.posterior_tokens(tokens.iter().copied());
             compiled.posterior_ids_into(ids, &mut scratch);
-            assert_eq!(
-                scratch.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                ref_post.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            );
-        }
-    }
-
-    #[test]
-    fn fast_precision_is_close_but_not_required_to_match() {
-        let m = trained();
-        let mut interner = Interner::new();
-        let ids = interned_probe_ids(&mut interner);
-        let compiled = m.compile(&interner);
-        let mut exact = vec![0.0f64; compiled.classes()];
-        let mut fast = vec![0.0f64; compiled.classes()];
-        for ids in &ids {
-            compiled.posterior_ids_into(ids, &mut exact);
-            compiled.posterior_ids_into_fast(ids, &mut fast);
-            for (a, b) in exact.iter().zip(&fast) {
-                assert!(
-                    (a - b).abs() <= NB_FAST_TOLERANCE,
-                    "fast posterior {b} drifted from {a}"
-                );
-            }
-            assert!((fast.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+            assert_eq!(bits(&scratch), bits(&ref_post), "{tokens:?}");
         }
     }
 

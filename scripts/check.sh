@@ -120,29 +120,16 @@ if [[ $fast -eq 0 ]]; then
   echo "== release-only differential: streamed path bit-identical at 3k bloggers =="
   cargo test --release -q -p mass-core --test stream_differential -- --ignored
 
-  echo "== kernel knobs: rank artifact byte-identical across block sizes =="
-  # The CLI face of the §14 kernel contract: blocked pull tiles are a pure
-  # scheduling choice, so the full-precision ranking artifact must not
-  # move by a byte under any --block-size.
-  "$mass" rank --in "$obs_dir/golden.xml" --k 10 \
-    --json-out "$obs_dir/kernel_base.json" >/dev/null
-  for block in 16 4096 131072; do
-    "$mass" rank --in "$obs_dir/golden.xml" --k 10 --block-size "$block" \
-      --json-out "$obs_dir/kernel_block.json" >/dev/null
-    cmp "$obs_dir/kernel_base.json" "$obs_dir/kernel_block.json"
-  done
-
   echo "== release-only XML loader fuzz: streaming loader equals the DOM reference =="
   # 20 000 seeded byte mutations of synthetic corpora: each must load to
   # equal datasets through both loaders or fail in both, never panic. The
   # debug suite runs a 500-mutation slice of the same fuzz.
   cargo test --release -q -p mass-xml --test dataset_differential -- --ignored
 
-  echo "== release-only kernel gate: X17 speedups and bit-identity =="
-  # table_x17_kernel_speed asserts the fused solve is >=2x the pre-PR
-  # kernel and bit-compares every optimised kernel inline (f32 fast path
-  # tolerance-bounded instead).
-  cargo run --release -q -p mass-bench --bin table_x17_kernel_speed >/dev/null
+  echo "== release-only spill-file fuzz: corrupt spill files load as errors, never panics =="
+  # 20 000 seeded truncate/flip/splice cases against SpilledCorpus::load;
+  # the debug suite runs a 400-case slice of the same fuzz.
+  cargo test --release -q -p mass-text --lib corrupt_spill_files_release_fuzz -- --ignored
 
   echo "== incremental exactness: Exact refresh artifact equals full recompute =="
   # The CLI face of the exactness contract (DESIGN.md §11): a scripted edit
