@@ -10,10 +10,18 @@
 //! The 600-blogger matrix runs in the normal suite; the 3000-blogger
 //! variant (the paper's corpus scale) is `#[ignore]`d in debug and run in
 //! release by scripts/check.sh (`cargo test --release -- --ignored`).
+//!
+//! Both paths run the same segment builder and merge, so the in-memory
+//! corpus is itself held to the serial reference build of mass-text's
+//! tests first.
+
+#[path = "../../text/tests/reference/mod.rs"]
+mod reference;
 
 use mass_core::{InfluenceScores, MassAnalysis, MassParams};
 use mass_synth::{ingest_sharded, ingest_sharded_spilled, CorpusSpec, CorpusStream, IngestOptions};
 use mass_text::PreparedCorpus;
+use reference::ReferenceCorpus;
 
 const SHARD_COUNTS: [usize; 3] = [1, 4, 16];
 const THREAD_COUNTS: [usize; 2] = [1, 4];
@@ -43,12 +51,18 @@ fn assert_scores_identical(a: &InfluenceScores, b: &InfluenceScores, what: &str)
 fn run_matrix(bloggers: usize, seed: u64) {
     let stream = CorpusStream::new(CorpusSpec::sized(bloggers, seed)).unwrap();
     let out = stream.materialize();
+    let serial = ReferenceCorpus::build(&out.dataset);
     for threads in THREAD_COUNTS {
         let params = MassParams {
             threads,
             ..MassParams::paper()
         };
         let reference_corpus = PreparedCorpus::build(&out.dataset, threads);
+        assert_eq!(
+            serial.diff(&reference_corpus),
+            None,
+            "{bloggers} bloggers, threads {threads}: in-memory build"
+        );
         let reference = MassAnalysis::analyze(&out.dataset, &params);
         for shards in SHARD_COUNTS {
             let opts = IngestOptions {
@@ -154,7 +168,9 @@ fn streamed_graph_and_counts_are_exact() {
 fn block_streaming_is_bit_identical_at_every_budget() {
     const BUDGETS: [usize; 4] = [0, 1 << 10, 64 << 10, usize::MAX];
     let stream = CorpusStream::new(CorpusSpec::sized(240, 19)).unwrap();
-    let reference = PreparedCorpus::build(&stream.materialize().dataset, 1);
+    let dataset = stream.materialize().dataset;
+    let reference = PreparedCorpus::build(&dataset, 1);
+    assert_eq!(ReferenceCorpus::build(&dataset).diff(&reference), None);
     for shards in SHARD_COUNTS {
         for threads in [1, 2, 4] {
             for spill_budget in BUDGETS {

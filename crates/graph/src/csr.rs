@@ -414,12 +414,6 @@ impl LinkCsr {
         self.preds.degree(v)
     }
 
-    /// The successor adjacency as a whole.
-    #[inline]
-    pub fn successors_csr(&self) -> &Csr {
-        &self.succs
-    }
-
     /// The predecessor adjacency as a whole (ascending-`u` rows with
     /// multiplicity).
     #[inline]

@@ -7,8 +7,8 @@
 //! strings (topic labels, model vocabularies, shingle hashing).
 //!
 //! Ids are assigned in first-appearance order, so for a fixed token stream
-//! the mapping is deterministic regardless of thread count: interning is
-//! always a serial pass (tokenization fans out, id assignment does not).
+//! the mapping is deterministic. Segments of a corpus intern apart, and the
+//! merge reproduces the whole stream's ids (the `shard` module).
 
 /// Dense id of an interned term. Plain `u32` — token sequences are stored as
 /// `Vec<u32>` so kernels can gather without hashing.

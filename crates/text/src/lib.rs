@@ -52,3 +52,10 @@ pub use search::{Bm25Params, InvertedIndex};
 pub use sentiment::{CompiledSentiment, SentimentLexicon};
 pub use shard::{CorpusSegment, SegmentBuilder, ShardedCorpusBuilder, SpillStats, SpilledCorpus};
 pub use tokenize::{for_each_token, tokenize, tokenize_keep_stopwords, TermCounts};
+
+// The unit tests share the integration tests' references (`mass_text::…`).
+#[cfg(test)]
+extern crate self as mass_text;
+#[cfg(test)]
+#[path = "../tests/reference/mod.rs"]
+mod reference;

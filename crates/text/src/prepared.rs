@@ -9,62 +9,28 @@
 //! topic discovery — then works on dense `u32` [`TermId`]s instead of
 //! re-tokenizing raw text and hashing `String`s (DESIGN.md §10).
 //!
-//! Determinism: tokenization (the expensive part) fans out over `mass-par`
-//! into per-document flat buffers; interning — which assigns ids by first
-//! appearance — is a serial second pass in dataset order, so the id mapping
-//! and every downstream bit are identical at any thread count.
+//! One builder makes every corpus: [`build`](PreparedCorpus::build) splits
+//! the posts into contiguous ranges, one per executor thread, tokenizes and
+//! interns each range into a [`SegmentBuilder`] with a local vocabulary,
+//! and merges the segments with [`ShardedCorpusBuilder::finish`] — the
+//! builder the streamed and spilled ingest use. The merge assigns global
+//! ids in first-appearance order over the dataset's document stream for
+//! any segmentation (`shard` module), so the id mapping and every
+//! downstream bit are identical at any thread count.
 
 use crate::intern::{Interner, TermId};
-use crate::tokenize::for_each_token;
+use crate::shard::{ArraySet, CorpusSegment, SegmentBuilder, ShardedCorpusBuilder};
 use mass_obs::field;
-use mass_types::Dataset;
-
-/// One document's tokens, flattened into a private buffer before interning.
-/// Crate-visible so the sharded builder (`shard` module) reuses the exact
-/// tokenization path of the in-memory build.
-pub(crate) struct FlatDoc {
-    /// All token bytes back to back.
-    buf: String,
-    /// `ends[j]` = byte offset one past token `j` in `buf`.
-    ends: Vec<u32>,
-    /// How many leading tokens came from the title.
-    pub(crate) title_count: u32,
-}
-
-pub(crate) fn flatten(parts: &[&str], keep_stopwords: bool) -> FlatDoc {
-    let mut buf = String::with_capacity(parts.iter().map(|p| p.len()).sum());
-    let mut ends = Vec::new();
-    let mut scratch = String::new();
-    let mut title_count = 0;
-    for (i, part) in parts.iter().enumerate() {
-        for_each_token(part, keep_stopwords, &mut scratch, |t| {
-            buf.push_str(t);
-            ends.push(buf.len() as u32);
-        });
-        if i == 0 {
-            title_count = ends.len() as u32;
-        }
-    }
-    FlatDoc {
-        buf,
-        ends,
-        title_count,
-    }
-}
-
-impl FlatDoc {
-    pub(crate) fn tokens(&self) -> impl Iterator<Item = &str> {
-        let mut start = 0usize;
-        self.ends.iter().map(move |&end| {
-            let tok = &self.buf[start..end as usize];
-            start = end as usize;
-            tok
-        })
-    }
-}
+use mass_types::{Dataset, Post};
+use std::io;
+use std::ops::Range;
 
 /// A dataset's text, interned and indexed for the analysis hot paths.
-#[derive(Clone, Debug)]
+///
+/// Equality is field by field. Because ids are assigned by first
+/// appearance, two corpora are equal iff they observed the same document
+/// stream — the relation the streamed-ingest differential tests assert.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PreparedCorpus {
     interner: Interner,
     /// Post classifier documents (title then body tokens), flattened.
@@ -90,54 +56,22 @@ pub struct PreparedCorpus {
     comment_starts: Vec<u32>,
 }
 
-/// Field-by-field equality. Because ids are assigned by first appearance,
-/// two corpora are equal iff they observed the same document stream — this
-/// is the relation the streamed-ingest differential tests assert.
-impl PartialEq for PreparedCorpus {
-    fn eq(&self, other: &Self) -> bool {
-        self.interner == other.interner
-            && self.doc_tokens == other.doc_tokens
-            && self.doc_offsets == other.doc_offsets
-            && self.text_starts == other.text_starts
-            && self.dt_terms == other.dt_terms
-            && self.dt_counts == other.dt_counts
-            && self.dt_offsets == other.dt_offsets
-            && self.comment_tokens == other.comment_tokens
-            && self.comment_offsets == other.comment_offsets
-            && self.comment_starts == other.comment_starts
-    }
-}
-
-impl Eq for PreparedCorpus {}
-
 impl PreparedCorpus {
     /// Assembles a corpus from already-interned arrays — the sharded
     /// builder's merge output. Callers (crate-internal only) guarantee the
     /// arrays satisfy the layout invariants documented on the fields.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
-        interner: Interner,
-        doc_tokens: Vec<TermId>,
-        doc_offsets: Vec<u32>,
-        text_starts: Vec<u32>,
-        dt_terms: Vec<TermId>,
-        dt_counts: Vec<u32>,
-        dt_offsets: Vec<u32>,
-        comment_tokens: Vec<TermId>,
-        comment_offsets: Vec<u32>,
-        comment_starts: Vec<u32>,
-    ) -> PreparedCorpus {
+    pub(crate) fn from_parts(interner: Interner, a: ArraySet) -> PreparedCorpus {
         PreparedCorpus {
             interner,
-            doc_tokens,
-            doc_offsets,
-            text_starts,
-            dt_terms,
-            dt_counts,
-            dt_offsets,
-            comment_tokens,
-            comment_offsets,
-            comment_starts,
+            doc_tokens: a.doc_tokens,
+            doc_offsets: a.doc_offsets,
+            text_starts: a.text_starts,
+            dt_terms: a.dt_terms,
+            dt_counts: a.dt_counts,
+            dt_offsets: a.dt_offsets,
+            comment_tokens: a.comment_tokens,
+            comment_offsets: a.comment_offsets,
+            comment_starts: a.comment_starts,
         }
     }
 
@@ -203,96 +137,34 @@ impl PreparedCorpus {
 
     /// Tokenizes and interns every post and comment of `ds` once.
     ///
-    /// Records the `text.prepare` span and the `text.tokens_interned` /
-    /// `text.vocab_size` counters. The result is a pure function of `ds` —
-    /// `threads` only fans out the tokenization.
+    /// Records the `text.prepare` span (with the number of `segments` on
+    /// open, and the `tokens` and `vocab` built on close) and the
+    /// `text.tokens_interned` / `text.vocab_size` counters. The result is
+    /// a pure function of `ds` — `threads` only sets how many segments
+    /// build at once.
     pub fn build(ds: &Dataset, threads: usize) -> PreparedCorpus {
         let comment_count: usize = ds.posts.iter().map(|p| p.comments.len()).sum();
-        let _span = mass_obs::span_with(
+        let ex = mass_par::executor(threads);
+        let ranges = segment_ranges(ds.posts.len(), ex.threads());
+        let mut span = mass_obs::span_with(
             "text.prepare",
             vec![
-                field("posts", ds.posts.len() as i64),
-                field("comments", comment_count as i64),
+                field("posts", ds.posts.len()),
+                field("comments", comment_count),
+                field("segments", ranges.len()),
             ],
         );
-        let ex = mass_par::executor(threads);
-
-        // Phase 1 (parallel): normalize every document into a flat private
-        // buffer. No interner access — nothing here is order-sensitive.
-        let post_docs: Vec<FlatDoc> =
-            ex.par_map(&ds.posts, |p| flatten(&[&p.title, &p.text], false));
-        let comment_texts: Vec<&str> = ds
-            .posts
-            .iter()
-            .flat_map(|p| p.comments.iter().map(|c| c.text.as_str()))
-            .collect();
-        let comment_docs: Vec<FlatDoc> = ex.par_map(&comment_texts, |t| flatten(&[t], true));
-
-        // Phase 2 (serial): intern in dataset order so ids are deterministic.
-        let mut interner = Interner::with_capacity(1024);
-        let mut doc_tokens = Vec::new();
-        let mut doc_offsets = Vec::with_capacity(ds.posts.len() + 1);
-        let mut text_starts = Vec::with_capacity(ds.posts.len());
-        let mut dt_terms = Vec::new();
-        let mut dt_counts = Vec::new();
-        let mut dt_offsets = Vec::with_capacity(ds.posts.len() + 1);
-        doc_offsets.push(0);
-        dt_offsets.push(0);
-        let mut row: Vec<TermId> = Vec::new();
-        for d in &post_docs {
-            let start = doc_tokens.len();
-            for tok in d.tokens() {
-                doc_tokens.push(interner.intern(tok));
-            }
-            text_starts.push((start + d.title_count as usize) as u32);
-            doc_offsets.push(doc_tokens.len() as u32);
-            // Run-length encode the sorted row into the CSR count matrix.
-            row.clear();
-            row.extend_from_slice(&doc_tokens[start..]);
-            row.sort_unstable();
-            let mut i = 0;
-            while i < row.len() {
-                let term = row[i];
-                let mut j = i + 1;
-                while j < row.len() && row[j] == term {
-                    j += 1;
-                }
-                dt_terms.push(term);
-                dt_counts.push((j - i) as u32);
-                i = j;
-            }
-            dt_offsets.push(dt_terms.len() as u32);
-        }
-        let mut comment_tokens = Vec::new();
-        let mut comment_offsets = Vec::with_capacity(comment_docs.len() + 1);
-        comment_offsets.push(0);
-        for d in &comment_docs {
-            for tok in d.tokens() {
-                comment_tokens.push(interner.intern(tok));
-            }
-            comment_offsets.push(comment_tokens.len() as u32);
-        }
-        let mut comment_starts = Vec::with_capacity(ds.posts.len() + 1);
-        comment_starts.push(0);
-        for p in &ds.posts {
-            comment_starts.push(comment_starts.last().unwrap() + p.comments.len() as u32);
-        }
-
-        mass_obs::counter("text.tokens_interned")
-            .add((doc_tokens.len() + comment_tokens.len()) as u64);
-        mass_obs::counter("text.vocab_size").add(interner.len() as u64);
-        PreparedCorpus {
-            interner,
-            doc_tokens,
-            doc_offsets,
-            text_starts,
-            dt_terms,
-            dt_counts,
-            dt_offsets,
-            comment_tokens,
-            comment_offsets,
-            comment_starts,
-        }
+        let segments = ex.par_tasks_collect(ranges.len(), |s| {
+            build_segment(&ds.posts[ranges[s].clone()])
+        });
+        // Without a spill budget no segment and no merge touches the disk,
+        // so there is no error to return.
+        let corpus = merge(segments).expect("an unbudgeted corpus build does no I/O");
+        span.record(field("tokens", corpus.total_tokens()));
+        span.record(field("vocab", corpus.vocab_len()));
+        mass_obs::counter("text.tokens_interned").add(corpus.total_tokens() as u64);
+        mass_obs::counter("text.vocab_size").add(corpus.vocab_len() as u64);
+        corpus
     }
 
     /// Number of post documents.
@@ -354,10 +226,43 @@ impl PreparedCorpus {
     }
 }
 
+/// Splits `posts` posts into `threads` contiguous ranges whose sizes
+/// differ by at most one (fewer ranges if there are fewer posts, so none
+/// is empty). An empty dataset is one empty range.
+fn segment_ranges(posts: usize, threads: usize) -> Vec<Range<usize>> {
+    let segments = threads.clamp(1, posts.max(1));
+    (0..segments)
+        .map(|s| s * posts / segments..(s + 1) * posts / segments)
+        .collect()
+}
+
+/// Merges the segments of consecutive post ranges, in range order.
+fn merge(segments: Vec<io::Result<CorpusSegment>>) -> io::Result<PreparedCorpus> {
+    let mut merge = ShardedCorpusBuilder::new(usize::MAX);
+    for (index, segment) in segments.into_iter().enumerate() {
+        merge.add_shard(index, segment?)?;
+    }
+    merge.finish()
+}
+
+/// One segment: its posts, then its posts' comments, as one shard of the
+/// streamed ingest builds them.
+fn build_segment(posts: &[Post]) -> io::Result<CorpusSegment> {
+    let mut segment = SegmentBuilder::new(usize::MAX);
+    for p in posts {
+        segment.add_post(&p.title, &p.text)?;
+    }
+    segment.seal_posts();
+    for p in posts {
+        segment.add_post_comments(p.comments.iter().map(|c| c.text.as_str()))?;
+    }
+    segment.finish()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tokenize::{tokenize, tokenize_keep_stopwords};
+    use crate::reference::{tokens, ReferenceCorpus};
     use mass_types::{DatasetBuilder, DomainId};
 
     fn sample() -> Dataset {
@@ -386,22 +291,18 @@ mod tests {
             let doc: Vec<&str> = c.doc_tokens(k).iter().map(|&t| c.resolve(t)).collect();
             assert_eq!(
                 doc,
-                tokenize(&format!("{} {}", p.title, p.text)),
+                tokens(&format!("{} {}", p.title, p.text), false),
                 "doc tokens of post {k}"
             );
             let body: Vec<&str> = c.text_tokens(k).iter().map(|&t| c.resolve(t)).collect();
-            assert_eq!(body, tokenize(&p.text), "body tokens of post {k}");
+            assert_eq!(body, tokens(&p.text, false), "body tokens of post {k}");
             for (j, cm) in p.comments.iter().enumerate() {
                 let toks: Vec<&str> = c
                     .comment_tokens(k, j)
                     .iter()
                     .map(|&t| c.resolve(t))
                     .collect();
-                assert_eq!(
-                    toks,
-                    tokenize_keep_stopwords(&cm.text),
-                    "comment {j} of post {k}"
-                );
+                assert_eq!(toks, tokens(&cm.text, true), "comment {j} of post {k}");
             }
         }
     }
@@ -433,6 +334,7 @@ mod tests {
     fn build_is_thread_count_invariant() {
         let ds = sample();
         let base = PreparedCorpus::build(&ds, 1);
+        assert_eq!(ReferenceCorpus::build(&ds).diff(&base), None);
         for threads in [2, 3, 8] {
             let par = PreparedCorpus::build(&ds, threads);
             assert_eq!(base.doc_tokens, par.doc_tokens, "threads={threads}");
@@ -443,7 +345,37 @@ mod tests {
             for id in 0..base.vocab_len() as u32 {
                 assert_eq!(base.resolve(id), par.resolve(id));
             }
+            assert!(base == par, "threads={threads}");
         }
+    }
+
+    #[test]
+    fn segments_are_contiguous_nonempty_and_even() {
+        for (posts, threads) in [
+            (40, 1),
+            (40, 2),
+            (40, 3),
+            (40, 8),
+            (40, 40),
+            (40, 64),
+            (7, 4),
+        ] {
+            let ranges = segment_ranges(posts, threads);
+            assert_eq!(
+                ranges.len(),
+                threads.min(posts),
+                "{posts} posts, {threads} threads"
+            );
+            assert_eq!(ranges[0].start, 0);
+            assert_eq!(ranges.last().unwrap().end, posts);
+            assert!(ranges.windows(2).all(|w| w[0].end == w[1].start));
+            let (min, max) = (
+                ranges.iter().map(|r| r.len()).min(),
+                ranges.iter().map(|r| r.len()).max(),
+            );
+            assert!(min >= Some(1) && max <= min.map(|m| m + 1), "{ranges:?}");
+        }
+        assert_eq!(segment_ranges(0, 4), vec![0..0]);
     }
 
     #[test]

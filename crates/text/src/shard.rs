@@ -1,17 +1,19 @@
 //! Sharded, out-of-core construction of [`PreparedCorpus`].
 //!
-//! The in-memory path ([`PreparedCorpus::build`]) needs the whole [`Dataset`]
-//! resident. For streamed million-blogger corpora the documents arrive
-//! shard-by-shard instead: each shard tokenizes and interns its own slice
-//! into a [`CorpusSegment`] with a *local* vocabulary (built by a
-//! [`SegmentBuilder`]), and a [`ShardedCorpusBuilder`] merges the segments
-//! into one corpus whose interned arrays are **bit-identical** to what the
-//! in-memory build over the concatenated document stream produces.
+//! Every corpus is built here. Each shard tokenizes and interns its own
+//! slice of the documents into a [`CorpusSegment`] with a *local*
+//! vocabulary (built by a [`SegmentBuilder`]), and a
+//! [`ShardedCorpusBuilder`] merges the segments into one corpus whose
+//! interned arrays are **bit-identical** to what one segment over the
+//! concatenated document stream produces. The in-memory build
+//! ([`PreparedCorpus::build`]) is one segment per thread over contiguous
+//! post ranges of a [`Dataset`](mass_types::Dataset); streamed
+//! million-blogger corpora arrive shard by shard and never need one.
 //!
 //! Three properties make the merge exact:
 //!
-//! 1. **Phase split.** The in-memory build interns *all post documents
-//!    before any comment document*. Segments record how much of their local
+//! 1. **Phase split.** A corpus interns *all post documents before any
+//!    comment document*. Segments record how much of their local
 //!    vocabulary was minted during the post phase (`post_vocab_len`); the
 //!    merge interns every segment's post-phase vocabulary (in shard order,
 //!    each in local-id = first-appearance order) before any comment-phase
@@ -36,9 +38,11 @@
 //! failure is an `io::Error` for the caller, never a panic.
 
 use crate::intern::{Interner, TermId};
-use crate::prepared::{flatten, PreparedCorpus};
+use crate::prepared::PreparedCorpus;
+use crate::tokenize::for_each_token;
 use std::fs::{self, File};
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -46,20 +50,39 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// file) order.
 const ARRAY_COUNT: usize = 9;
 
+/// Terms a vocabulary is first sized for, local or merged, so that a
+/// one-segment corpus's interner grows exactly as a merged one's does.
+const VOCAB_CAPACITY: usize = 1024;
+
+/// The arrays that start with a 0 (the three offset arrays and
+/// `comment_starts`): segments keep their own, and a merge drops all but
+/// one global leading 0.
+const OFFSET_ARRAYS: [usize; 4] = [1, 5, 7, 8];
+
+/// The arrays behind a [`PreparedCorpus`]; its fields document them.
 #[derive(Clone, Debug, Default, PartialEq)]
-struct ArraySet {
-    doc_tokens: Vec<u32>,
-    doc_offsets: Vec<u32>,
-    text_starts: Vec<u32>,
-    dt_terms: Vec<u32>,
-    dt_counts: Vec<u32>,
-    dt_offsets: Vec<u32>,
-    comment_tokens: Vec<u32>,
-    comment_offsets: Vec<u32>,
-    comment_starts: Vec<u32>,
+pub(crate) struct ArraySet {
+    pub(crate) doc_tokens: Vec<u32>,
+    pub(crate) doc_offsets: Vec<u32>,
+    pub(crate) text_starts: Vec<u32>,
+    pub(crate) dt_terms: Vec<u32>,
+    pub(crate) dt_counts: Vec<u32>,
+    pub(crate) dt_offsets: Vec<u32>,
+    pub(crate) comment_tokens: Vec<u32>,
+    pub(crate) comment_offsets: Vec<u32>,
+    pub(crate) comment_starts: Vec<u32>,
 }
 
 impl ArraySet {
+    /// The arrays of no documents: each offset array holds its leading 0.
+    fn empty() -> ArraySet {
+        let mut arrays = ArraySet::default();
+        for i in OFFSET_ARRAYS {
+            arrays.as_muts()[i].push(0);
+        }
+        arrays
+    }
+
     fn as_refs(&self) -> [&Vec<u32>; ARRAY_COUNT] {
         [
             &self.doc_tokens,
@@ -284,18 +307,19 @@ impl CorpusSegment {
         Ok(bytes)
     }
 
-    /// The segment's arrays, reading its blocks back in order if spilled.
-    fn load(&self) -> io::Result<ArraySet> {
-        match &self.store {
-            SegmentStore::Resident(a) => Ok(a.clone()),
+    /// The segment's arrays: a resident segment's by value, a spilled
+    /// one's read back from its blocks in order.
+    fn into_arrays(self) -> io::Result<ArraySet> {
+        let total = self.store.lens();
+        match self.store {
+            SegmentStore::Resident(a) => Ok(a),
             SegmentStore::Spilled { file, blocks } => {
                 let mut r = BufReader::new(File::open(&file.path)?);
                 let mut arrays = ArraySet::default();
-                let total = self.store.lens();
                 for (a, &len) in arrays.as_muts().into_iter().zip(&total) {
                     a.reserve_exact(len as usize);
                 }
-                for block in blocks {
+                for block in &blocks {
                     for (a, &len) in arrays.as_muts().into_iter().zip(block) {
                         read_u32s_into(&mut r, len as usize, a)?;
                     }
@@ -336,6 +360,8 @@ pub struct SegmentBuilder {
     comments: usize,
     comment_posts: usize,
     row: Vec<u32>,
+    /// Reuse buffer of the tokenizer.
+    scratch: String,
     spill_budget: usize,
     spill: Option<BlockWriter>,
 }
@@ -344,15 +370,10 @@ impl SegmentBuilder {
     /// An empty builder that streams its arrays to a spill file whenever
     /// they exceed `spill_budget` bytes (`usize::MAX` = never).
     pub fn new(spill_budget: usize) -> SegmentBuilder {
-        let mut arrays = ArraySet::default();
-        arrays.doc_offsets.push(0);
-        arrays.dt_offsets.push(0);
-        arrays.comment_offsets.push(0);
-        arrays.comment_starts.push(0);
         SegmentBuilder {
-            vocab: Interner::with_capacity(256),
+            vocab: Interner::with_capacity(VOCAB_CAPACITY),
             post_vocab_len: None,
-            arrays,
+            arrays: ArraySet::empty(),
             base_doc_tokens: 0,
             base_dt: 0,
             base_comment_tokens: 0,
@@ -360,6 +381,7 @@ impl SegmentBuilder {
             comments: 0,
             comment_posts: 0,
             row: Vec::new(),
+            scratch: String::new(),
             spill_budget,
             spill: None,
         }
@@ -390,8 +412,8 @@ impl SegmentBuilder {
         Ok(())
     }
 
-    /// Tokenizes and interns one post document (title + body), exactly as
-    /// the in-memory build does. Fails only if a block flush fails.
+    /// Tokenizes and interns one post document (title + body), stopwords
+    /// removed. Fails only if a block flush fails.
     ///
     /// # Panics
     /// Panics if called after [`seal_posts`](SegmentBuilder::seal_posts).
@@ -400,15 +422,15 @@ impl SegmentBuilder {
             self.post_vocab_len.is_none(),
             "add_post after seal_posts breaks the phase split"
         );
-        let a = &mut self.arrays;
-        let d = flatten(&[title, text], false);
+        let (a, vocab, scratch) = (&mut self.arrays, &mut self.vocab, &mut self.scratch);
         let start = a.doc_tokens.len();
-        for tok in d.tokens() {
-            a.doc_tokens.push(self.vocab.intern(tok));
-        }
+        for_each_token(title, false, scratch, |t| {
+            a.doc_tokens.push(vocab.intern(t))
+        });
+        let text_start = a.doc_tokens.len();
+        for_each_token(text, false, scratch, |t| a.doc_tokens.push(vocab.intern(t)));
         let base = self.base_doc_tokens;
-        a.text_starts
-            .push((base + start + d.title_count as usize) as u32);
+        a.text_starts.push((base + text_start) as u32);
         a.doc_offsets.push((base + a.doc_tokens.len()) as u32);
         // Run-length encode the locally-sorted row; the merge re-sorts it
         // under global ids.
@@ -449,12 +471,11 @@ impl SegmentBuilder {
             self.post_vocab_len.is_some(),
             "add_post_comments before seal_posts breaks the phase split"
         );
-        let a = &mut self.arrays;
+        let (a, vocab, scratch) = (&mut self.arrays, &mut self.vocab, &mut self.scratch);
         for text in texts {
-            let d = flatten(&[text], true);
-            for tok in d.tokens() {
-                a.comment_tokens.push(self.vocab.intern(tok));
-            }
+            for_each_token(text, true, scratch, |t| {
+                a.comment_tokens.push(vocab.intern(t))
+            });
             a.comment_offsets
                 .push((self.base_comment_tokens + a.comment_tokens.len()) as u32);
             self.comments += 1;
@@ -507,7 +528,7 @@ pub struct SpillStats {
 }
 
 /// Merges [`CorpusSegment`]s (any arrival order) into one corpus equal to
-/// the in-memory build over the concatenated document stream.
+/// one segment over the concatenated document stream.
 #[derive(Debug)]
 pub struct ShardedCorpusBuilder {
     /// `(shard index, segment)`, sorted by index at merge time.
@@ -588,9 +609,15 @@ impl ShardedCorpusBuilder {
 
     /// Builds the global vocabulary (post-phase terms of every shard in
     /// order, then comment-phase terms) and the per-segment local→global id
-    /// remap tables.
-    fn merge_vocab(segments: &[CorpusSegment]) -> (Interner, Vec<Vec<TermId>>) {
-        let mut global = Interner::with_capacity(1024);
+    /// remap tables. A lone segment's vocabulary already is in that order,
+    /// so it moves over whole.
+    fn merge_vocab(segments: &mut [CorpusSegment]) -> (Interner, Vec<Vec<TermId>>) {
+        if let [only] = segments {
+            let vocab = std::mem::take(&mut only.vocab);
+            let identity = (0..vocab.len() as TermId).collect();
+            return (vocab, vec![identity]);
+        }
+        let mut global = Interner::with_capacity(VOCAB_CAPACITY);
         let mut remaps: Vec<Vec<TermId>> = segments
             .iter()
             .map(|s| Vec::with_capacity(s.vocab.len()))
@@ -608,121 +635,123 @@ impl ShardedCorpusBuilder {
         (global, remaps)
     }
 
-    /// Remaps + rebases one segment's arrays into the merge cursor state,
-    /// streaming each finished array into `sink(array_index, data)`.
-    fn emit_segment(
-        arrays: &ArraySet,
-        remap: &[TermId],
-        cursor: &mut MergeCursor,
-        mut sink: impl FnMut(usize, Vec<u32>),
-    ) {
-        let doc_tokens: Vec<u32> = arrays
-            .doc_tokens
-            .iter()
-            .map(|&t| remap[t as usize])
-            .collect();
-        let doc_offsets: Vec<u32> = arrays.doc_offsets[1..]
-            .iter()
-            .map(|&o| o + cursor.doc_tokens)
-            .collect();
-        let text_starts: Vec<u32> = arrays
-            .text_starts
-            .iter()
-            .map(|&s| s + cursor.doc_tokens)
-            .collect();
-        // Re-sort every document-term row under global ids (terms within a
-        // row are distinct, so (term, count) pairs keep their counts).
-        let mut dt_terms = Vec::with_capacity(arrays.dt_terms.len());
-        let mut dt_counts = Vec::with_capacity(arrays.dt_counts.len());
-        let mut pairs: Vec<(u32, u32)> = Vec::new();
-        for w in arrays.dt_offsets.windows(2) {
-            let (lo, hi) = (w[0] as usize, w[1] as usize);
-            pairs.clear();
-            pairs.extend(
-                arrays.dt_terms[lo..hi]
-                    .iter()
-                    .zip(&arrays.dt_counts[lo..hi])
-                    .map(|(&t, &c)| (remap[t as usize], c)),
-            );
-            pairs.sort_unstable();
-            dt_terms.extend(pairs.iter().map(|&(t, _)| t));
-            dt_counts.extend(pairs.iter().map(|&(_, c)| c));
+    /// Each merged array's length: the segments' arrays back to back, less
+    /// the leading 0 each offset array drops, plus the one global leading 0.
+    fn merged_lens(segments: &[CorpusSegment]) -> [u64; ARRAY_COUNT] {
+        let mut lens = [0u64; ARRAY_COUNT];
+        for i in OFFSET_ARRAYS {
+            lens[i] = 1;
         }
-        let dt_offsets: Vec<u32> = arrays.dt_offsets[1..]
-            .iter()
-            .map(|&o| o + cursor.dt)
-            .collect();
-        let comment_tokens: Vec<u32> = arrays
-            .comment_tokens
-            .iter()
-            .map(|&t| remap[t as usize])
-            .collect();
-        let comment_offsets: Vec<u32> = arrays.comment_offsets[1..]
-            .iter()
-            .map(|&o| o + cursor.comment_tokens)
-            .collect();
-        let comment_starts: Vec<u32> = arrays.comment_starts[1..]
-            .iter()
-            .map(|&s| s + cursor.comments)
-            .collect();
-        cursor.doc_tokens += arrays.doc_tokens.len() as u32;
-        cursor.dt += arrays.dt_terms.len() as u32;
-        cursor.comment_tokens += arrays.comment_tokens.len() as u32;
-        cursor.comments += (arrays.comment_offsets.len() - 1) as u32;
-        sink(0, doc_tokens);
-        sink(1, doc_offsets);
-        sink(2, text_starts);
-        sink(3, dt_terms);
-        sink(4, dt_counts);
-        sink(5, dt_offsets);
-        sink(6, comment_tokens);
-        sink(7, comment_offsets);
-        sink(8, comment_starts);
+        for seg in segments {
+            for (i, (total, len)) in lens.iter_mut().zip(seg.store.lens()).enumerate() {
+                *total += len - u64::from(OFFSET_ARRAYS.contains(&i));
+            }
+        }
+        lens
+    }
+
+    /// Remaps one segment's term ids to global ids and rebases its offsets
+    /// past the segments before it, in place. Its offset arrays keep their
+    /// leading 0: the first segment's is the merged arrays' own, and the
+    /// others' are skipped on the way out.
+    fn remap_segment(
+        a: &mut ArraySet,
+        remap: &[TermId],
+        post_vocab_len: u32,
+        cursor: &mut MergeCursor,
+    ) {
+        let fixed = |ids: Range<u32>| ids.into_iter().all(|id| remap[id as usize] == id);
+        // Post documents hold only post-phase ids; the first segment's
+        // keep their values, so its documents and rows stay as they are.
+        if !fixed(0..post_vocab_len) {
+            for t in &mut a.doc_tokens {
+                *t = remap[*t as usize];
+            }
+            // Re-sort every document-term row under global ids (terms
+            // within a row are distinct, so (term, count) pairs keep their
+            // counts).
+            let mut pairs: Vec<(u32, u32)> = Vec::new();
+            for w in a.dt_offsets.windows(2) {
+                let row = w[0] as usize..w[1] as usize;
+                pairs.clear();
+                pairs.extend(
+                    a.dt_terms[row.clone()]
+                        .iter()
+                        .zip(&a.dt_counts[row.clone()])
+                        .map(|(&t, &c)| (remap[t as usize], c)),
+                );
+                pairs.sort_unstable();
+                let slots = a.dt_terms[row.clone()]
+                    .iter_mut()
+                    .zip(&mut a.dt_counts[row]);
+                for ((t, c), &(term, count)) in slots.zip(&pairs) {
+                    (*t, *c) = (term, count);
+                }
+            }
+        }
+        if !fixed(0..remap.len() as u32) {
+            for t in &mut a.comment_tokens {
+                *t = remap[*t as usize];
+            }
+        }
+        let rebase = |v: &mut Vec<u32>, by: u32| v.iter_mut().for_each(|x| *x += by);
+        rebase(&mut a.doc_offsets, cursor.doc_tokens);
+        rebase(&mut a.text_starts, cursor.doc_tokens);
+        rebase(&mut a.dt_offsets, cursor.dt);
+        rebase(&mut a.comment_offsets, cursor.comment_tokens);
+        rebase(&mut a.comment_starts, cursor.comments);
+        cursor.doc_tokens += a.doc_tokens.len() as u32;
+        cursor.dt += a.dt_terms.len() as u32;
+        cursor.comment_tokens += a.comment_tokens.len() as u32;
+        cursor.comments += (a.comment_offsets.len() - 1) as u32;
+    }
+
+    /// The part of array `i` of a remapped segment that a merge appends.
+    fn appended(i: usize, data: &[u32]) -> &[u32] {
+        &data[usize::from(OFFSET_ARRAYS.contains(&i))..]
     }
 
     /// Merges all segments into a resident [`PreparedCorpus`], bit-identical
-    /// to [`PreparedCorpus::build`] over the same document stream. Fails if
-    /// a spilled segment cannot be read back.
+    /// to one segment over the same document stream. Resident segments are
+    /// consumed, not copied: the first one's arrays become the merged
+    /// arrays, and the others are appended to them. Fails if a spilled
+    /// segment cannot be read back.
     pub fn finish(self) -> io::Result<PreparedCorpus> {
-        let segments = self.ordered();
-        let (global, remaps) = Self::merge_vocab(&segments);
-        let mut merged: [Vec<u32>; ARRAY_COUNT] = Default::default();
-        // The three offset arrays and comment_starts carry a leading 0 that
-        // segment slices drop; restore it once globally.
-        for i in [1, 5, 7, 8] {
-            merged[i].push(0);
-        }
+        let mut segments = self.ordered();
+        let (global, remaps) = Self::merge_vocab(&mut segments);
+        let lens = Self::merged_lens(&segments);
+        let mut merged: Option<ArraySet> = None;
         let mut cursor = MergeCursor::default();
-        for (seg, remap) in segments.iter().zip(&remaps) {
-            let arrays = seg.load()?;
-            Self::emit_segment(&arrays, remap, &mut cursor, |idx, data| {
-                merged[idx].extend_from_slice(&data);
-            });
+        for (seg, remap) in segments.into_iter().zip(&remaps) {
+            let post_vocab_len = seg.post_vocab_len;
+            let mut arrays = seg.into_arrays()?;
+            Self::remap_segment(&mut arrays, remap, post_vocab_len, &mut cursor);
+            match &mut merged {
+                None => {
+                    for (v, &len) in arrays.as_muts().into_iter().zip(&lens) {
+                        v.reserve_exact(len as usize - v.len());
+                    }
+                    merged = Some(arrays);
+                }
+                Some(m) => {
+                    let parts = m.as_muts().into_iter().zip(arrays.as_refs());
+                    for (i, (v, data)) in parts.enumerate() {
+                        v.extend_from_slice(Self::appended(i, data));
+                    }
+                }
+            }
         }
-        let [doc_tokens, doc_offsets, text_starts, dt_terms, dt_counts, dt_offsets, comment_tokens, comment_offsets, comment_starts] =
-            merged;
-        Ok(PreparedCorpus::from_parts(
-            global,
-            doc_tokens,
-            doc_offsets,
-            text_starts,
-            dt_terms,
-            dt_counts,
-            dt_offsets,
-            comment_tokens,
-            comment_offsets,
-            comment_starts,
-        ))
+        let arrays = merged.unwrap_or_else(ArraySet::empty);
+        Ok(PreparedCorpus::from_parts(global, arrays))
     }
 
     /// Merges all segments straight to disk: peak memory is one segment's
     /// arrays plus the global vocabulary, independent of corpus size.
     pub fn finish_spilled(self) -> io::Result<SpilledCorpus> {
         let mut stats = self.stats;
-        let segments = self.ordered();
-        let (global, remaps) = Self::merge_vocab(&segments);
+        let mut segments = self.ordered();
+        let (global, remaps) = Self::merge_vocab(&mut segments);
         // Make sure nothing large is resident while merging.
-        let mut segments = segments;
         for seg in segments.iter_mut() {
             let freed = seg.spill()?;
             if freed > 0 {
@@ -732,22 +761,9 @@ impl ShardedCorpusBuilder {
         }
         // Total lengths are known up front, so the output header and section
         // layout can be written before streaming the data.
-        let mut lens = [0u64; ARRAY_COUNT];
-        for i in [1usize, 5, 7, 8] {
-            lens[i] = 1; // the restored leading 0
-        }
-        for seg in &segments {
-            let seg_lens = seg.store.lens();
-            lens[0] += seg_lens[0];
-            lens[1] += seg_lens[1] - 1;
-            lens[2] += seg_lens[2];
-            lens[3] += seg_lens[3];
-            lens[4] += seg_lens[4];
-            lens[5] += seg_lens[5] - 1;
-            lens[6] += seg_lens[6];
-            lens[7] += seg_lens[7] - 1;
-            lens[8] += seg_lens[8] - 1;
-        }
+        let lens = Self::merged_lens(&segments);
+        let posts = segments.iter().map(|s| s.posts).sum();
+        let comments = segments.iter().map(|s| s.comments).sum();
         let file = SpillFile {
             path: fresh_spill_path("corpus"),
         };
@@ -769,32 +785,23 @@ impl ShardedCorpusBuilder {
         out.set_len(acc)?;
         // Write cursor per section; seed the restored leading zeros.
         let mut write_at = section_start;
-        for i in [1usize, 5, 7, 8] {
+        for i in OFFSET_ARRAYS {
             out.seek(SeekFrom::Start(write_at[i]))?;
             out.write_all(&0u32.to_le_bytes())?;
             write_at[i] += 4;
         }
         let mut cursor = MergeCursor::default();
-        for (seg, remap) in segments.iter().zip(&remaps) {
-            let arrays = seg.load()?;
-            let mut io_err: Option<io::Error> = None;
-            Self::emit_segment(&arrays, remap, &mut cursor, |idx, data| {
-                if io_err.is_some() {
-                    return;
-                }
-                let r = out.seek(SeekFrom::Start(write_at[idx])).and_then(|_| {
-                    let mut bw = BufWriter::new(&mut out);
-                    write_u32s(&mut bw, &data)?;
-                    bw.flush()
-                });
-                if let Err(e) = r {
-                    io_err = Some(e);
-                } else {
-                    write_at[idx] += data.len() as u64 * 4;
-                }
-            });
-            if let Some(e) = io_err {
-                return Err(e);
+        for (seg, remap) in segments.into_iter().zip(&remaps) {
+            let post_vocab_len = seg.post_vocab_len;
+            let mut arrays = seg.into_arrays()?;
+            Self::remap_segment(&mut arrays, remap, post_vocab_len, &mut cursor);
+            for (i, data) in arrays.as_refs().into_iter().enumerate() {
+                let data = Self::appended(i, data);
+                out.seek(SeekFrom::Start(write_at[i]))?;
+                let mut bw = BufWriter::new(&mut out);
+                write_u32s(&mut bw, data)?;
+                bw.flush()?;
+                write_at[i] += data.len() as u64 * 4;
             }
         }
         out.sync_all()?;
@@ -802,8 +809,8 @@ impl ShardedCorpusBuilder {
             vocab: global,
             file,
             lens,
-            posts: segments.iter().map(|s| s.posts).sum(),
-            comments: segments.iter().map(|s| s.comments).sum(),
+            posts,
+            comments,
             stats,
         })
     }
@@ -893,31 +900,11 @@ impl SpilledCorpus {
                 "spill file is {file_len} bytes, its header needs {lens:?} u32s"
             )));
         }
-        let mut arrays: Vec<Vec<u32>> = Vec::with_capacity(ARRAY_COUNT);
-        for &l in &lens {
-            arrays.push(read_u32s(&mut r, l as usize)?);
+        let mut arrays = ArraySet::default();
+        for (a, &l) in arrays.as_muts().into_iter().zip(&lens) {
+            *a = read_u32s(&mut r, l as usize)?;
         }
-        let comment_starts = arrays.pop().unwrap();
-        let comment_offsets = arrays.pop().unwrap();
-        let comment_tokens = arrays.pop().unwrap();
-        let dt_offsets = arrays.pop().unwrap();
-        let dt_counts = arrays.pop().unwrap();
-        let dt_terms = arrays.pop().unwrap();
-        let text_starts = arrays.pop().unwrap();
-        let doc_offsets = arrays.pop().unwrap();
-        let doc_tokens = arrays.pop().unwrap();
-        let corpus = PreparedCorpus::from_parts(
-            self.vocab.clone(),
-            doc_tokens,
-            doc_offsets,
-            text_starts,
-            dt_terms,
-            dt_counts,
-            dt_offsets,
-            comment_tokens,
-            comment_offsets,
-            comment_starts,
-        );
+        let corpus = PreparedCorpus::from_parts(self.vocab.clone(), arrays);
         corpus.check_layout().map_err(invalid)?;
         Ok(corpus)
     }
@@ -930,6 +917,7 @@ fn invalid(msg: String) -> io::Error {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::ReferenceCorpus;
     use mass_types::{Dataset, DatasetBuilder};
 
     /// Builds a segment per blogger-range the same way streamed ingest does,
@@ -1005,14 +993,15 @@ mod tests {
     #[test]
     fn sharded_merge_equals_in_memory_build() {
         let ds = sample(40);
-        let want = PreparedCorpus::build(&ds, 1);
+        let want = ReferenceCorpus::build(&ds);
         for shards in [1usize, 2, 3, 7, 40, 64] {
             let mut b = ShardedCorpusBuilder::new(usize::MAX);
             for (i, r) in split(ds.posts.len(), shards).into_iter().enumerate() {
                 b.add_shard(i, segment_for_posts(&ds, r)).unwrap();
             }
             let got = b.finish().unwrap();
-            assert!(got == want, "mismatch at {shards} shards");
+            assert_eq!(want.diff(&got), None, "mismatch at {shards} shards");
+            assert!(got == PreparedCorpus::build(&ds, 1), "{shards} shards");
         }
     }
 
@@ -1038,7 +1027,7 @@ mod tests {
     #[test]
     fn spilled_segments_merge_identically() {
         let ds = sample(36);
-        let want = PreparedCorpus::build(&ds, 1);
+        let want = ReferenceCorpus::build(&ds);
         // Budget 0: every segment spills on arrival.
         let mut b = ShardedCorpusBuilder::new(0);
         for (i, r) in split(ds.posts.len(), 4).into_iter().enumerate() {
@@ -1047,13 +1036,14 @@ mod tests {
         assert_eq!(b.stats().segments_spilled, 4);
         assert!(b.stats().bytes_spilled > 0);
         assert_eq!(b.resident_bytes(), 0);
-        assert!(b.finish().unwrap() == want);
+        assert_eq!(want.diff(&b.finish().unwrap()), None);
     }
 
     #[test]
     fn finish_spilled_roundtrips_bit_identically() {
         let ds = sample(36);
         let want = PreparedCorpus::build(&ds, 1);
+        assert_eq!(ReferenceCorpus::build(&ds).diff(&want), None);
         for budget in [0usize, usize::MAX] {
             let mut b = ShardedCorpusBuilder::new(budget);
             for (i, r) in split(ds.posts.len(), 3).into_iter().enumerate() {
@@ -1095,17 +1085,18 @@ mod tests {
         let ds = sample(60);
         let n = ds.posts.len();
         let resident = segment_for_posts(&ds, 0..n);
-        let want = resident.load().unwrap();
+        let (posts, comments) = (resident.posts(), resident.comments());
+        let want = resident.into_arrays().unwrap();
         for budget in [0usize, 64, 1024, 4096, want.bytes() - 1] {
             let seg = segment_with_budget(&ds, 0..n, budget);
             let SegmentStore::Spilled { blocks, .. } = &seg.store else {
                 panic!("budget {budget} never streamed");
             };
             assert!(budget > 1024 || blocks.len() > 1, "budget {budget}");
-            assert_eq!(seg.posts(), resident.posts());
-            assert_eq!(seg.comments(), resident.comments());
+            assert_eq!(seg.posts(), posts);
+            assert_eq!(seg.comments(), comments);
             assert_eq!(seg.spilled_bytes(), want.bytes());
-            assert_eq!(seg.load().unwrap(), want, "budget {budget}");
+            assert_eq!(seg.into_arrays().unwrap(), want, "budget {budget}");
         }
         // At or above the segment's size it never streams.
         for budget in [want.bytes(), usize::MAX] {
@@ -1120,7 +1111,7 @@ mod tests {
         // builder's own budget would have spilled it on arrival.
         let ds = sample(90);
         let ranges = split(ds.posts.len(), 5);
-        let want = PreparedCorpus::build(&ds, 1);
+        let want = ReferenceCorpus::build(&ds);
         let bytes: Vec<usize> = ranges
             .iter()
             .map(|r| segment_for_posts(&ds, r.clone()).resident_bytes())
@@ -1139,20 +1130,29 @@ mod tests {
             }
             assert_eq!(streamed.stats(), at_arrival.stats(), "budget {budget}");
             assert_eq!(streamed.resident_bytes(), at_arrival.resident_bytes());
-            assert!(streamed.finish().unwrap() == want, "budget {budget}");
+            assert_eq!(
+                want.diff(&streamed.finish().unwrap()),
+                None,
+                "budget {budget}"
+            );
         }
     }
 
     #[test]
     fn empty_segments_are_harmless() {
         let ds = sample(10);
-        let want = PreparedCorpus::build(&ds, 1);
+        let want = ReferenceCorpus::build(&ds);
         let mut b = ShardedCorpusBuilder::new(usize::MAX);
         b.add_shard(0, segment_for_posts(&ds, 0..10)).unwrap();
         for i in 1..4 {
             b.add_shard(i, segment_for_posts(&ds, 10..10)).unwrap();
         }
-        assert!(b.finish().unwrap() == want);
+        assert_eq!(want.diff(&b.finish().unwrap()), None);
+        // No segments at all merge to the empty corpus.
+        let empty = DatasetBuilder::new().build().unwrap();
+        let none = ShardedCorpusBuilder::new(usize::MAX).finish().unwrap();
+        assert!(none == PreparedCorpus::build(&empty, 1));
+        assert_eq!(ReferenceCorpus::build(&empty).diff(&none), None);
     }
 
     /// splitmix64: a seeded stream for the spill-file fuzz.

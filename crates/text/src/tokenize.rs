@@ -11,19 +11,21 @@ use std::collections::HashMap;
 /// vanishes but "3" in "web 3" survives); this matches how sparse blog text
 /// is usually cleaned.
 pub fn tokenize(text: &str) -> Vec<String> {
-    raw_tokens(text).filter(|t| !is_stopword(t)).collect()
+    collect_tokens(text, false)
 }
 
 /// Like [`tokenize`] but keeps stopwords — the sentiment analyzer needs
 /// negation words ("not", "never") in place.
 pub fn tokenize_keep_stopwords(text: &str) -> Vec<String> {
-    raw_tokens(text).collect()
+    collect_tokens(text, true)
 }
 
-fn raw_tokens(text: &str) -> impl Iterator<Item = String> + '_ {
-    text.split(|c: char| !(c.is_alphanumeric() || c == '\''))
-        .map(|w| w.replace('\'', "").to_lowercase())
-        .filter(|w| keep_token(w))
+fn collect_tokens(text: &str, keep_stopwords: bool) -> Vec<String> {
+    let mut tokens = Vec::new();
+    for_each_token(text, keep_stopwords, &mut String::new(), |t| {
+        tokens.push(t.to_owned())
+    });
+    tokens
 }
 
 /// The single-char filter: a normalized word survives iff it is longer than
@@ -34,56 +36,100 @@ fn keep_token(w: &str) -> bool {
     w.len() > 1 || w.as_bytes().first().is_some_and(|b| b.is_ascii_digit())
 }
 
-/// Normalizes one raw word in place: strip apostrophes, lowercase, apply the
-/// single-char filter. Returns `None` for filtered words. ASCII words that
-/// are already clean are returned as-is (zero copies); others are built in
-/// `scratch`. Byte-for-byte equal to `w.replace('\'', "").to_lowercase()` —
-/// including `str::to_lowercase`'s context-sensitive cases (final sigma),
-/// which is why the non-ASCII path falls back to it.
-fn normalize_word<'a>(word: &'a str, scratch: &'a mut String) -> Option<&'a str> {
-    let tok: &str = if word.is_ascii() {
-        if word.bytes().all(|b| !b.is_ascii_uppercase() && b != b'\'') {
-            word
-        } else {
-            scratch.clear();
-            scratch.extend(
-                word.bytes()
-                    .filter(|&b| b != b'\'')
-                    .map(|b| b.to_ascii_lowercase() as char),
-            );
-            scratch
-        }
+/// Byte classes of the split, as bits so a word can OR together what it
+/// holds. An ASCII byte is a word byte iff it is alphanumeric or `'`,
+/// which is `char::is_alphanumeric` on ASCII plus the apostrophe.
+const SEPARATOR: u8 = 0;
+/// A lower-case letter or a digit: normalizing leaves it as it is.
+const KEEP: u8 = 1;
+/// An upper-case letter or an apostrophe: normalizing changes it.
+const FOLD: u8 = 2;
+/// The first byte of a non-ASCII char, which is decoded to decide whether
+/// the char is alphanumeric.
+const WIDE: u8 = 4;
+
+fn byte_class(byte: u8) -> u8 {
+    match byte {
+        b'a'..=b'z' | b'0'..=b'9' => KEEP,
+        b'A'..=b'Z' | b'\'' => FOLD,
+        0x80.. => WIDE,
+        _ => SEPARATOR,
+    }
+}
+
+/// Normalizes `word` into `scratch`: strip apostrophes, lowercase. A
+/// `wide` word (one holding a non-ASCII char) goes through
+/// `str::to_lowercase`, whose context-sensitive cases (final sigma, `İ`)
+/// need the whole word.
+fn fold<'a>(word: &str, wide: bool, scratch: &'a mut String) -> &'a str {
+    scratch.clear();
+    if !wide {
+        let folded = word.bytes().filter(|&b| b != b'\'');
+        scratch.extend(folded.map(|b| b.to_ascii_lowercase() as char));
+    } else if word.contains('\'') {
+        scratch.push_str(&word.replace('\'', "").to_lowercase());
     } else {
-        scratch.clear();
-        if word.contains('\'') {
-            let stripped: String = word.chars().filter(|&c| c != '\'').collect();
-            scratch.push_str(&stripped.to_lowercase());
-        } else {
-            scratch.push_str(&word.to_lowercase());
-        }
-        scratch
-    };
-    keep_token(tok).then_some(tok)
+        scratch.push_str(&word.to_lowercase());
+    }
+    scratch
 }
 
 /// Zero-copy tokenization: calls `visit` once per token of `text`, in
-/// order, producing the exact token stream of [`tokenize`] (or
+/// order — the token stream of [`tokenize`] (or
 /// [`tokenize_keep_stopwords`] when `keep_stopwords`) without allocating a
 /// `String` per token. `scratch` is a caller-owned reuse buffer; tokens are
 /// only valid for the duration of each `visit` call. This is the hot path
 /// the corpus interner feeds on.
+///
+/// One pass over the bytes: an ASCII byte is classified by its value
+/// alone, and a `char` is decoded only at a non-ASCII byte. While scanning a word
+/// the pass notes whether it needs lower-casing or apostrophe stripping,
+/// so a clean ASCII word is handed on as a slice of `text`; a word with a
+/// non-ASCII char is normalized by `str::to_lowercase`.
 pub fn for_each_token(
     text: &str,
     keep_stopwords: bool,
     scratch: &mut String,
     mut visit: impl FnMut(&str),
 ) {
-    for word in text.split(|c: char| !(c.is_alphanumeric() || c == '\'')) {
-        if let Some(tok) = normalize_word(word, scratch) {
-            if keep_stopwords || !is_stopword(tok) {
-                visit(tok);
+    let mut emit = |word: &str, seen: u8| {
+        let token = if seen & (FOLD | WIDE) == 0 {
+            word
+        } else {
+            fold(word, seen & WIDE != 0, scratch)
+        };
+        if keep_token(token) && (keep_stopwords || !is_stopword(token)) {
+            visit(token);
+        }
+    };
+    let bytes = text.as_bytes();
+    // `seen` ORs the classes of the current word's bytes; 0 between words.
+    let (mut start, mut seen) = (0, SEPARATOR);
+    let mut i = 0;
+    while i < bytes.len() {
+        let mut class = byte_class(bytes[i]);
+        let mut width = 1;
+        if class == WIDE {
+            // `i` only ever advances by whole chars, so it is a boundary.
+            let c = text[i..].chars().next().unwrap_or(' ');
+            width = c.len_utf8();
+            if !c.is_alphanumeric() {
+                class = SEPARATOR;
             }
         }
+        if class != SEPARATOR {
+            if seen == SEPARATOR {
+                start = i;
+            }
+            seen |= class;
+        } else if seen != SEPARATOR {
+            emit(&text[start..i], seen);
+            seen = SEPARATOR;
+        }
+        i += width;
+    }
+    if seen != SEPARATOR {
+        emit(&text[start..], seen);
     }
 }
 
@@ -283,10 +329,14 @@ mod tests {
         );
     }
 
-    /// The zero-copy visitor emits the exact stream of the allocating path,
-    /// including the borrow-as-is, ASCII-scratch, and unicode fallbacks.
+    /// The zero-copy visitor and the collectors over it emit the stream of
+    /// the reference char-split tokenizer on each of the split's paths: a
+    /// borrowed clean ASCII word, an ASCII word folded in scratch, and a
+    /// non-ASCII word lower-cased by `str::to_lowercase`. One scratch buffer
+    /// is reused across texts and modes.
     #[test]
     fn for_each_token_matches_tokenize() {
+        let mut scratch = String::new();
         for text in [
             "The Quick BROWN fox, and the lazy dog!",
             "it's Amery's blog",
@@ -298,16 +348,20 @@ mod tests {
             "!!! ... ???",
             "mixed 'ΣΣ' CASE ß ẞ 42 a 7",
         ] {
-            let mut scratch = String::new();
             for keep in [false, true] {
                 let mut got = Vec::new();
                 for_each_token(text, keep, &mut scratch, |t| got.push(t.to_string()));
-                let want = if keep {
+                let want = crate::reference::tokens(text, keep);
+                assert_eq!(got, want, "diverged on {text:?} keep_stopwords={keep}");
+                let collected = if keep {
                     tokenize_keep_stopwords(text)
                 } else {
                     tokenize(text)
                 };
-                assert_eq!(got, want, "diverged on {text:?} keep_stopwords={keep}");
+                assert_eq!(
+                    collected, want,
+                    "collector on {text:?} keep_stopwords={keep}"
+                );
             }
         }
     }

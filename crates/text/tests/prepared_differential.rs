@@ -3,15 +3,17 @@
 //!
 //! Every facet that was rewired onto [`PreparedCorpus`] — tokenization, NB
 //! posteriors, novelty shingling, sentiment factors — must reproduce the
-//! string path **bit for bit** (`f64::to_bits`), because the PR 3 contract
+//! string path **bit for bit** (`f64::to_bits`), because the contract
 //! promises byte-identical `rank --json-out` artifacts across the rewrite.
+//! Tokens and the corpus layout are checked against the plain references
+//! in `reference/`, at several thread counts.
 
-use mass_text::{
-    tokenize, tokenize_keep_stopwords, NaiveBayesTrainer, NoveltyDetector, PreparedCorpus,
-    SentimentLexicon,
-};
+mod reference;
+
+use mass_text::{NaiveBayesTrainer, NoveltyDetector, PreparedCorpus, SentimentLexicon};
 use mass_types::DatasetBuilder;
 use proptest::prelude::*;
+use reference::ReferenceCorpus;
 
 /// Unicode-heavy word soup: ASCII, apostrophes, digits, Greek (including
 /// final-sigma-sensitive uppercase), Cyrillic, accented Latin, CJK, emoji
@@ -43,18 +45,26 @@ proptest! {
         let ds = build_corpus(&posts, &comments);
         let corpus = PreparedCorpus::build(&ds, 1);
 
-        // 1. Tokenization: resolved interned ids == string tokenizer output.
+        // 1. Tokenization: resolved interned ids == reference tokenizer
+        // output, and the whole layout == the reference build at every
+        // thread count.
         for (k, p) in ds.posts.iter().enumerate() {
             let doc: Vec<&str> = corpus.doc_tokens(k).iter().map(|&t| corpus.resolve(t)).collect();
-            prop_assert_eq!(doc, tokenize(&format!("{} {}", p.title, p.text)), "doc {}", k);
+            let want = reference::tokens(&format!("{} {}", p.title, p.text), false);
+            prop_assert_eq!(doc, want, "doc {}", k);
             let body: Vec<&str> =
                 corpus.text_tokens(k).iter().map(|&t| corpus.resolve(t)).collect();
-            prop_assert_eq!(body, tokenize(&p.text), "body {}", k);
+            prop_assert_eq!(body, reference::tokens(&p.text, false), "body {}", k);
             for (j, c) in p.comments.iter().enumerate() {
                 let toks: Vec<&str> =
                     corpus.comment_tokens(k, j).iter().map(|&t| corpus.resolve(t)).collect();
-                prop_assert_eq!(toks, tokenize_keep_stopwords(&c.text), "comment {}/{}", k, j);
+                prop_assert_eq!(toks, reference::tokens(&c.text, true), "comment {}/{}", k, j);
             }
+        }
+        let want = ReferenceCorpus::build(&ds);
+        for threads in [1, 2, 4] {
+            let diff = want.diff(&PreparedCorpus::build(&ds, threads));
+            prop_assert!(diff.is_none(), "threads {}: {:?}", threads, diff);
         }
 
         // 2. NB posterior: compiled gather over ids == string classify.

@@ -50,6 +50,8 @@ if [[ $fast -eq 0 ]]; then
     --expect-metrics solver.sweeps,solver.sweep_us,text.tokens_interned,text.vocab_size,text.classify_batch_us
 
   echo "== parallel determinism: rank at --threads 1 and 4 is byte-identical =="
+  # Besides the kernels, this compares the text corpus built as one
+  # segment (--threads 1) with four segments merged (--threads 4).
   "$mass" rank --in "$obs_dir/corpus.xml" --k 10 --threads 1 \
     --json-out "$obs_dir/rank_t1.json" >/dev/null
   "$mass" rank --in "$obs_dir/corpus.xml" --k 10 --threads 4 \
@@ -60,9 +62,10 @@ if [[ $fast -eq 0 ]]; then
   # The 30-blogger crawl above is below every work floor, so both runs
   # take the serial kernels. 8 000 streamed-spec bloggers put PageRank
   # (nodes + edges) above mass_par::floor::LINK_ANALYSIS, so --threads 4
-  # runs the chunked pull against the serial one. The solve floor (~4.2M
-  # work units, ~600k bloggers) is too large for a CI step; the
-  # determinism suite covers the chunked solve under its test hook.
+  # runs the chunked pull against the serial one, and its text corpus is
+  # four segments merged against one. The solve floor (~4.2M work units,
+  # ~600k bloggers) is too large for a CI step; the determinism suite
+  # covers the chunked solve under its test hook.
   "$mass" rank --synth 8000 --synth-seed 3 --k 10 --threads 1 \
     --json-out "$obs_dir/policy_t1.json" >/dev/null
   "$mass" rank --synth 8000 --synth-seed 3 --k 10 --threads 4 \
@@ -125,6 +128,12 @@ if [[ $fast -eq 0 ]]; then
   # equal datasets through both loaders or fail in both, never panic. The
   # debug suite runs a 500-mutation slice of the same fuzz.
   cargo test --release -q -p mass-xml --test dataset_differential -- --ignored
+
+  echo "== release-only tokenizer fuzz: the byte-class tokenizer equals the char-split reference =="
+  # 20 000 seeded ASCII-heavy texts with apostrophes, capitals, every
+  # stopword, long words and non-ASCII words, in both stopword modes; the
+  # debug suite runs a 512-text slice of the same fuzz.
+  cargo test --release -q -p mass-text --test tokenizer_differential -- --ignored
 
   echo "== release-only spill-file fuzz: corrupt spill files load as errors, never panics =="
   # 20 000 seeded truncate/flip/splice cases against SpilledCorpus::load;
